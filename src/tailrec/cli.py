@@ -35,17 +35,22 @@ from .data import (
     sample_negatives,
     split_leave_one_out,
 )
+from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError, TrainingError
-from .evaluate import ModelRanker, build_test_candidates, evaluate, make_baseline, rank_of_truth
+from .evaluate import (
+    ModelRanker,
+    _group_metrics,
+    build_test_candidates,
+    evaluate,
+    make_baseline,
+    rank_cases,
+)
 from .model import (
     catalog_hash,
-    encode,
     load_checkpoint,
     named_parameters,
-    pad_batch,
     params_fingerprint,
     save_checkpoint,
-    score_candidates,
 )
 from .pretrain import PretrainConfig, pretrain
 from .repair import (
@@ -193,21 +198,6 @@ def _config_hash(cfg: dict) -> str:
 # ------------------------------------------------------- artifacts
 
 
-def _dump_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-
-
-def _read_json(path: str, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{what} {path} is not valid JSON: {exc}")
-
-
 def _store_path(cfg):
     return os.path.join(cfg["out"], "store.json")
 
@@ -229,13 +219,13 @@ def save_store(path: str, catalog: Catalog, sequences, dataset_hash: str, stats:
         "sequences": [s.items.tolist() for s in sequences],
         "stats": stats,
     }
-    _dump_json(path, doc)
+    write_json(path, doc)
 
 
 def load_store(path: str):
     """-> (catalog, split, store doc). Rebuilds popularity and the
     leave-one-out split from the persisted per-user index sequences."""
-    doc = _read_json(path, "dataset store")
+    doc = read_json(path, "dataset store")
     if doc.get("version") != 1:
         raise DataError(f"{path}: unsupported store version {doc.get('version')!r}")
     item_ids = doc["item_ids"]
@@ -290,7 +280,7 @@ def _lock(outdir: str):
 
 def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str) -> str:
     path = os.path.join(cfg["out"], f"manifest_{command}.json")
-    _dump_json(path, {
+    write_json(path, {
         "command": command,
         "config_hash": _config_hash(cfg),
         "seed": cfg["seed"],
@@ -325,6 +315,21 @@ def _fewshot(cfg) -> FewShotConfig:
         omega1=c["omega1"],
         omega2=c["omega2"],
     )
+
+
+def _paired_evaluation(cfg, split, catalog, max_len: int):
+    """-> run(ranker, partition): the evaluation report on the fixed test
+    candidates drawn from ``cfg["evaluate"]``, so every ranker a command
+    compares meets the same negatives."""
+    ev = cfg["evaluate"]
+    candidates = build_test_candidates(
+        split, catalog, ev["n_negatives"],
+        np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
+
+    def run(ranker, partition):
+        return evaluate(ranker, split, partition, catalog, n_negatives=ev["n_negatives"],
+                        max_len=max_len, batch_size=ev["batch_size"], candidates=candidates)
+    return run
 
 
 def _report_doc(report: dict, cfg, lineage: dict) -> dict:
@@ -502,13 +507,9 @@ def cmd_apply_eval(cfg, args):
         "inferred_items": inferred_items,
     })
 
-    candidates = build_test_candidates(
-        split, catalog, ev["n_negatives"],
-        np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
-    kwargs = dict(n_negatives=ev["n_negatives"], max_len=model.config.max_len,
-                  batch_size=ev["batch_size"], candidates=candidates)
-    before = evaluate(ModelRanker(model), split, part, catalog, **kwargs)
-    after = evaluate(ModelRanker(repaired), split, part, catalog, **kwargs)
+    run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
+    before = run(ModelRanker(model), part)
+    after = run(ModelRanker(repaired), part)
 
     lineage = {
         "dataset_hash": store["dataset_hash"],
@@ -522,9 +523,9 @@ def cmd_apply_eval(cfg, args):
         "after": os.path.join(out, f"report_after_{cfg['variant']}.json"),
         "delta": os.path.join(out, f"report_delta_{cfg['variant']}.json"),
     }
-    _dump_json(paths["before"], _report_doc(before, cfg, lineage))
-    _dump_json(paths["after"], _report_doc(after, cfg, lineage))
-    _dump_json(paths["delta"], _report_doc(_delta_report(before, after), cfg, lineage))
+    write_json(paths["before"], _report_doc(before, cfg, lineage))
+    write_json(paths["after"], _report_doc(after, cfg, lineage))
+    write_json(paths["delta"], _report_doc(_delta_report(before, after), cfg, lineage))
 
     for name, rep in (("before", before), ("after", after)):
         print(f"{name:6s} all {rep['all']['hr10']:.4f}  head {rep['head']['hr10']:.4f}  "
@@ -549,16 +550,9 @@ def cmd_baseline(cfg, args):
         base = ModelRanker(model)
         lineage["base_checkpoint"] = params_fingerprint(named_parameters(model))
     ranker = make_baseline(name, catalog, split, base=base)
-
-    ev = cfg["evaluate"]
-    candidates = build_test_candidates(
-        split, catalog, ev["n_negatives"],
-        np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
-    report = evaluate(ranker, split, part, catalog, n_negatives=ev["n_negatives"],
-                      max_len=cfg["pretrain"]["max_len"], batch_size=ev["batch_size"],
-                      candidates=candidates)
+    report = _paired_evaluation(cfg, split, catalog, cfg["pretrain"]["max_len"])(ranker, part)
     path = os.path.join(cfg["out"], f"baseline_{name}.json")
-    _dump_json(path, _report_doc(report, cfg, lineage))
+    write_json(path, _report_doc(report, cfg, lineage))
     print(f"{name}: all hr10 {report['all']['hr10']:.4f}  mrr {report['all']['mrr']:.4f}")
     return {"store": store["dataset_hash"]}, [path]
 
@@ -581,12 +575,8 @@ def cmd_sweep(cfg, args):
         raise ConfigError("tau sweep values must lie strictly between 0 and 1")
 
     ev = cfg["evaluate"]
-    candidates = build_test_candidates(
-        split, catalog, ev["n_negatives"],
-        np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
+    run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
     all_sets = extract_context_sets(split, range(catalog.n_items), fn.omega1, fn.omega2)
-    kwargs = dict(n_negatives=ev["n_negatives"], max_len=model.config.max_len,
-                  batch_size=ev["batch_size"], candidates=candidates)
 
     rows = []
     for v in sorted(values):
@@ -601,7 +591,7 @@ def cmd_sweep(cfg, args):
                                     rng=np.random.default_rng([ev["seed"], 9]),
                                     context_batch_cap=cap)
         repaired = apply_embeddings(model, inferred)
-        report = evaluate(ModelRanker(repaired), split, part_v, catalog, **kwargs)
+        report = run(ModelRanker(repaired), part_v)
         rows.append((float(v), report["all"]["hr10"]))
         print(f"{parameter}={v:g}: all hr10 {report['all']['hr10']:.4f}")
 
@@ -635,7 +625,7 @@ def cmd_new_item(cfg, args):
     contexts_path = getattr(args, "contexts", None) or cfg["new_item"]["contexts"]
     if not contexts_path:
         raise ConfigError("new-item needs a context file (--contexts or new_item.contexts)")
-    payload = _read_json(contexts_path, "context file")
+    payload = read_json(contexts_path, "context file")
 
     ev = cfg["evaluate"]
     neg_rng = np.random.default_rng([ev["seed"], 5])
@@ -654,8 +644,7 @@ def cmd_new_item(cfg, args):
                                       context_batch_cap=cap)
         embeddings.append((entry["item"], new_index, emb.vector))
 
-        ranker = ModelRanker(current)
-        ranks = []
+        histories, cands = [], []
         for case in entry.get("test_cases", []):
             hist = [catalog.index_of.get(s) for s in case["history"]]
             if any(h is None for h in hist):
@@ -664,35 +653,37 @@ def cmd_new_item(cfg, args):
             negatives = sample_negatives(
                 np.asarray(hist, dtype=np.int64), catalog, ev["n_negatives"], neg_rng,
                 source=ev["negative_source"])
-            cands = np.concatenate([[new_index], negatives])[None, :]
-            scores = ranker.score_batch([np.asarray(hist[-current.config.max_len:])], cands)
-            ranks.append(rank_of_truth(scores[0], cands[0]))
-        if ranks:
-            arr = np.asarray(ranks)
+            histories.append(np.asarray(hist[-current.config.max_len:]))
+            cands.append(np.concatenate([[new_index], negatives]))
+        if histories:
+            # one case per call keeps each case's scores independent of the
+            # other cases in the file (BLAS may round a batch differently)
+            ranks = rank_cases(ModelRanker(current), histories, np.stack(cands), batch_size=1)
+            g = _group_metrics(ranks)
             results.append({
                 "item": entry["item"],
                 "index": new_index,
                 "n_windows": len(windows),
-                "n_test_cases": len(ranks),
-                "hr10": float((arr <= 10).mean()),
-                "mrr": float((1.0 / arr).mean()),
+                "n_test_cases": g["support"],
+                "hr10": g["hr10"],
+                "mrr": g["mrr"],
             })
-            ranks_all.extend(ranks)
+            ranks_all.append(ranks)
 
     if not ranks_all:
         raise DataError("context file contains no usable test cases")
-    arr = np.asarray(ranks_all)
+    g = _group_metrics(np.concatenate(ranks_all))
     overall = {
         "n_items": len(embeddings),
-        "n_test_cases": len(ranks_all),
-        "hr5": float((arr <= 5).mean()),
-        "hr10": float((arr <= 10).mean()),
-        "mrr": float((1.0 / arr).mean()),
+        "n_test_cases": g["support"],
+        "hr5": g["hr5"],
+        "hr10": g["hr10"],
+        "mrr": g["mrr"],
     }
 
     out = cfg["out"]
     report_path = os.path.join(out, f"new_item_report_{cfg['variant']}.json")
-    _dump_json(report_path, {
+    write_json(report_path, {
         "overall": overall,
         "items": results,
         "lineage": {

@@ -17,9 +17,8 @@ from .errors import DataError
 from .model import Model, ranking_states, score_candidates
 
 __all__ = [
-    "hit_ratio",
-    "reciprocal_rank",
     "rank_of_truth",
+    "rank_cases",
     "build_test_candidates",
     "evaluate",
     "ModelRanker",
@@ -28,21 +27,8 @@ __all__ = [
     "FomcRanker",
     "RerankByPopularity",
     "transition_counts",
-    "rerank_by_popularity",
     "make_baseline",
 ]
-
-
-def hit_ratio(rank: int, k: int) -> int:
-    if rank < 1:
-        raise ValueError(f"ranks are 1-based, got {rank}")
-    return 1 if rank <= k else 0
-
-
-def reciprocal_rank(rank: int) -> float:
-    if rank < 1:
-        raise ValueError(f"ranks are 1-based, got {rank}")
-    return 1.0 / rank
 
 
 def rank_of_truth(scores: np.ndarray, candidates: np.ndarray, truth_column: int = 0) -> int:
@@ -50,6 +36,18 @@ def rank_of_truth(scores: np.ndarray, candidates: np.ndarray, truth_column: int 
     ascending item index."""
     order = np.lexsort((candidates, -np.asarray(scores, dtype=np.float64)))
     return int(np.nonzero(order == truth_column)[0][0]) + 1
+
+
+def rank_cases(ranker, histories: list, candidates: np.ndarray, batch_size: int) -> np.ndarray:
+    """1-based rank of column 0 of every candidate row, scoring
+    ``batch_size`` cases per ``ranker.score_batch`` call."""
+    ranks = np.empty(len(histories), dtype=np.int64)
+    for lo in range(0, len(histories), batch_size):
+        hi = min(lo + batch_size, len(histories))
+        scores = ranker.score_batch(histories[lo:hi], candidates[lo:hi])
+        for u in range(lo, hi):
+            ranks[u] = rank_of_truth(scores[u - lo], candidates[u])
+    return ranks
 
 
 class ModelRanker:
@@ -122,16 +120,6 @@ class FomcRanker:
         return out
 
 
-def rerank_by_popularity(pre_ranked: np.ndarray, k: int, popularity: np.ndarray) -> np.ndarray:
-    """Reorder the top-(5k) window ascending by popularity (stable), keep k."""
-    pre_ranked = np.asarray(pre_ranked)
-    if len(pre_ranked) < k:
-        raise DataError(f"rerank needs at least {k} candidates, got {len(pre_ranked)}")
-    window = pre_ranked[: 5 * k]
-    order = np.argsort(popularity[window], kind="stable")
-    return window[order][:k]
-
-
 class RerankByPopularity:
     """Wrap a base ranker: its top-5k candidates are reordered by ascending
     popularity; everything below keeps the base order. Scores are replaced by
@@ -170,6 +158,7 @@ def make_baseline(name: str, catalog: Catalog, split: LeaveOneOutSplit, base=Non
 
 
 def _group_metrics(ranks: np.ndarray) -> dict:
+    """HR@5, HR@10 and MRR of 1-based ranks, plus their count; zeros if none."""
     if len(ranks) == 0:
         return {"hr5": 0.0, "hr10": 0.0, "mrr": 0.0, "support": 0}
     return {
@@ -237,24 +226,14 @@ def evaluate(
     histories = [
         np.append(split.train[u], split.valid[u])[-max_len:] for u in range(n_users)
     ]
-    ranks = np.empty(n_users, dtype=np.int64)
-    for lo in range(0, n_users, batch_size):
-        hi = min(lo + batch_size, n_users)
-        scores = ranker.score_batch(histories[lo:hi], candidates[lo:hi])
-        for u in range(lo, hi):
-            ranks[u] = rank_of_truth(scores[u - lo], candidates[u])
+    ranks = rank_cases(ranker, histories, candidates, batch_size)
 
     truth_is_tail = tail_mask[split.test]
     has_tail_input = np.array([bool(tail_mask[h].any()) for h in histories])
-    head_slice = ~truth_is_tail & has_tail_input
-
-    report = {
+    head_slice = _group_metrics(ranks[~truth_is_tail & has_tail_input])
+    return {
         "all": _group_metrics(ranks),
         "head": _group_metrics(ranks[~truth_is_tail]),
         "tail": _group_metrics(ranks[truth_is_tail]),
-        "head_with_tail_in_sequence": {
-            "hr10": float((ranks[head_slice] <= 10).mean()) if head_slice.any() else 0.0,
-            "support": int(head_slice.sum()),
-        },
+        "head_with_tail_in_sequence": {"hr10": head_slice["hr10"], "support": head_slice["support"]},
     }
-    return report

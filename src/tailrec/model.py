@@ -13,18 +13,27 @@ training never scores that column. To rank, ``ranking_states`` keeps the last
 window, and reads the user state at column ``max_len - 1`` -- the input cloze
 training scores whenever it masks the last position. The GRU reads its final
 hidden state over the last ``max_len`` items and never sees the [mask] token.
+
+Parameters live in nested dataclasses. ``named_parameters`` walks their
+fields in declaration order and is the only list of parameter names: the
+optimizer, fingerprints, ``clone_model`` and the checkpoint container
+(``artifacts``) all read it, for models and for the inference functions
+``repair`` builds from the same parts. ``transformer_block`` is the one
+self-attention block, shared by the encoder and the repair aggregator.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .artifacts import FUNCTION_KIND, check_lineage, read_container, write_container
+from .errors import ConfigError
 from .tensor import Tensor
 
 __all__ = [
@@ -38,6 +47,7 @@ __all__ = [
     "init_model",
     "pad_batch",
     "embed_sequence",
+    "transformer_block",
     "encode_transformer",
     "encode_gru",
     "encode",
@@ -150,7 +160,6 @@ class EncoderParams:
 @dataclass
 class EncoderActivations:
     hidden: list  # H^0 .. H^N (transformer) or per-step states (gru)
-    post_attention: list  # A^0 .. A^{N-1}, transformer only
 
 
 @dataclass
@@ -292,6 +301,27 @@ def _mha(block: BlockParams, h: Tensor, additive_mask: np.ndarray, n_heads: int)
     return T.add(T.matmul(merged, block.wo), block.bo)
 
 
+def transformer_block(
+    block: BlockParams,
+    h: Tensor,
+    additive_mask: np.ndarray,
+    n_heads: int,
+    dropout_rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Post-norm block: attention, dropout, residual, layer norm, then the
+    GELU feed-forward, dropout, residual, layer norm. Dropout is drawn only
+    when ``dropout_rate`` is nonzero, attention output first."""
+    a = _mha(block, h, additive_mask, n_heads)
+    if dropout_rate:
+        a = T.dropout(a, dropout_rate, training_flag=True, rng=rng)
+    a = T.layer_norm(T.add(h, a), block.ln1_gain, block.ln1_bias)
+    f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
+    if dropout_rate:
+        f = T.dropout(f, dropout_rate, training_flag=True, rng=rng)
+    return T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
+
+
 def encode_transformer(
     encoder: EncoderParams,
     table: EmbeddingTable,
@@ -328,24 +358,16 @@ def encode_transformer(
     valid = np.concatenate([real, np.ones((b, 1), dtype=bool)], axis=1)
     additive = np.where(valid, 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
 
+    rate = dropout_rate if training else 0.0
     hidden = [h]
-    post_attention = []
     for block in encoder.blocks:
-        a = _mha(block, h, additive, encoder.n_heads)
-        if dropout_rate and training:
-            a = T.dropout(a, dropout_rate, training_flag=True, rng=rng)
-        a = T.layer_norm(T.add(h, a), block.ln1_gain, block.ln1_bias)
-        post_attention.append(a)
-        f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
-        if dropout_rate and training:
-            f = T.dropout(f, dropout_rate, training_flag=True, rng=rng)
-        h = T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
+        h = transformer_block(block, h, additive, encoder.n_heads, rate, rng)
         hidden.append(h)
 
     pos = l if read_position is None else read_position
     state = _positions(h, pos)
     m = T.gelu(T.add(T.matmul(state, encoder.head_w), encoder.head_b))
-    return m, EncoderActivations(hidden=hidden, post_attention=post_attention)
+    return m, EncoderActivations(hidden=hidden)
 
 
 def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray):
@@ -368,7 +390,7 @@ def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray):
         gate = real[:, t].astype(np.float64)[:, None]
         h = T.add(h, T.mul(gate, T.sub(hn, h)))
         steps.append(h)
-    return h, EncoderActivations(hidden=steps, post_attention=[])
+    return h, EncoderActivations(hidden=steps)
 
 
 def encode(
@@ -420,35 +442,34 @@ def score_candidates(m: Tensor, table: EmbeddingTable, candidates: np.ndarray) -
     return T.add(prod, bias)
 
 
-def named_parameters(model: Model) -> list[tuple[str, Tensor]]:
-    """Stable-ordered learnable tensors; drives the optimizer and checkpoints."""
-    t = model.table
-    out = [("table.weights", t.weights), ("table.item_bias", t.item_bias)]
-    if t.positional is not None:
-        out.append(("table.positional", t.positional))
-    if t.ln_gain is not None:
-        out += [("table.ln_gain", t.ln_gain), ("table.ln_bias", t.ln_bias)]
-    enc = model.encoder
-    if enc.variant == "transformer":
-        for i, blk in enumerate(enc.blocks):
-            for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                      "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias"):
-                out.append((f"encoder.blocks.{i}.{f}", getattr(blk, f)))
-        out += [("encoder.head_w", enc.head_w), ("encoder.head_b", enc.head_b)]
-    else:
-        for f in ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc"):
-            out.append((f"encoder.gru.{f}", getattr(enc.gru, f)))
+def named_parameters(tree, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """(dotted name, Tensor) for every tensor in a parameter dataclass tree.
+
+    Fields are visited in declaration order, list items by index, and
+    fields holding None or plain values are skipped, so a model yields
+    ``table.*`` then ``encoder.blocks.{i}.*``/``encoder.head_*`` (attention)
+    or ``encoder.gru.*`` (GRU). This order drives the optimizer, the
+    fingerprints and the checkpoint container.
+    """
+    out = []
+    for f in fields(tree):
+        value, name = getattr(tree, f.name), prefix + f.name
+        if isinstance(value, Tensor):
+            out.append((name, value))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                out += named_parameters(item, f"{name}.{i}.")
+        elif is_dataclass(value):
+            out += named_parameters(value, name + ".")
     return out
 
 
-def clone_model(model: Model) -> Model:
-    """Deep copy with fresh numpy buffers (bitwise-equal values, no shared storage)."""
-    copy = init_model(model.config, np.random.default_rng(0))
-    src = dict(named_parameters(model))
-    for name, tgt in named_parameters(copy):
-        tgt.values = src[name].values.copy()
-        tgt.grad = None
-    copy.encoder.frozen = model.encoder.frozen
+def clone_model(tree):
+    """Deep copy of a model (or any parameter tree) with fresh numpy buffers:
+    bitwise-equal values, no shared storage, no gradients."""
+    copy = deepcopy(tree)
+    for _, t in named_parameters(copy):
+        t.grad = None
     return copy
 
 
@@ -466,58 +487,22 @@ def catalog_hash(item_ids) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-CHECKPOINT_VERSION = 1
-
-
 def save_checkpoint(path, model: Model, cat_hash: str, kind: str, meta: dict | None = None) -> None:
-    """Versioned JSON container: config, catalog hash, and every parameter.
-
-    Floats serialize via repr so reloads are bitwise-exact for float64.
-    """
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "kind": kind,
-        "catalog_hash": cat_hash,
-        "config": {
-            "variant": model.config.variant,
-            "n_items": model.config.n_items,
-            "d": model.config.d,
-            "n_blocks": model.config.n_blocks,
-            "n_heads": model.config.n_heads,
-            "max_len": model.config.max_len,
-            "dropout_rate": model.config.dropout_rate,
-        },
-        "params": {name: t.values.tolist() for name, t in named_parameters(model)},
-        "meta": meta or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    """Write the model config, catalog hash and every parameter as an
+    ``artifacts`` container; ``kind`` labels the stage that wrote it."""
+    write_container(path, kind, asdict(model.config), named_parameters(model), cat_hash, meta)
 
 
 def load_checkpoint(path, expected_catalog_hash: str | None = None):
     """Load a checkpoint -> (Model, meta dict, kind, catalog_hash).
 
-    Refuses files written for a different catalog when an expected hash is
-    given, and files with unknown version or parameter set.
+    Refuses inference-function files, files written for a different catalog
+    when an expected hash is given, and any malformed container.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    if expected_catalog_hash is not None and doc["catalog_hash"] != expected_catalog_hash:
-        raise DataError(
-            f"{path}: checkpoint was built for a different catalog "
-            f"({doc['catalog_hash'][:12]}… vs expected {expected_catalog_hash[:12]}…)"
-        )
-    cfg = ModelConfig(**doc["config"])
-    model = init_model(cfg, np.random.default_rng(0))
-    stored = doc["params"]
-    names = [n for n, _ in named_parameters(model)]
-    if set(stored) != set(names):
-        raise DataError(f"{path}: checkpoint parameter set does not match config")
-    for name, t in named_parameters(model):
-        arr = np.array(stored[name], dtype=np.float64)
-        if arr.shape != t.values.shape:
-            raise DataError(f"{path}: parameter {name} has shape {arr.shape}, expected {t.values.shape}")
-        t.values = arr
-    return model, doc.get("meta", {}), doc.get("kind", ""), doc["catalog_hash"]
+    model, doc = read_container(
+        path, "checkpoint", lambda kind: isinstance(kind, str) and kind != FUNCTION_KIND,
+        lambda config: init_model(ModelConfig(**config), np.random.default_rng(0)),
+        named_parameters)
+    check_lineage(path, doc["catalog_hash"], expected_catalog_hash,
+                  "checkpoint was built for a different catalog")
+    return model, doc["meta"], doc["kind"], doc["catalog_hash"]

@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Catalog, LeaveOneOutSplit, sample_negatives
 from .errors import ConfigError, TrainingError
+from .evaluate import ModelRanker, _group_metrics, rank_cases
 from .model import (
     Model,
     ModelConfig,
@@ -24,9 +25,7 @@ from .model import (
     encode,
     init_model,
     named_parameters,
-    ranking_states,
     score,
-    score_candidates,
 )
 from .optim import AdamState, adam_step
 from .tensor import Tape, Tensor
@@ -177,27 +176,17 @@ def validate(
 ) -> dict:
     """Rank the validation item among fixed candidates; truth sits at column 0.
 
-    Each user's train prefix is ranked from ``model.ranking_states``, the same
-    state the evaluation ranks with: the GRU reads the last ``max_len`` items,
-    the transformer keeps the last ``max_len - 1`` and reads the [mask] placed
+    Each user's train prefix is ranked by ``evaluate.ModelRanker`` through
+    the batch loop ``evaluate.evaluate`` uses, so validation reads the state
+    evaluation ranks with: the GRU reads the last ``max_len`` items, the
+    transformer keeps the last ``max_len - 1`` and reads the [mask] placed
     directly after them. Ties break toward lower item index, which can only
     hurt the truth item. Returns {"hr5", "hr10", "mrr"}.
     """
-    from .evaluate import rank_of_truth  # local import; evaluate depends on model only
-
-    ranks = []
-    for lo in range(0, split.n_users, batch_size):
-        hi = min(lo + batch_size, split.n_users)
-        m = ranking_states(model, [split.train[u] for u in range(lo, hi)])
-        s = score_candidates(m, model.table, candidates[lo:hi]).values
-        for r, cand in zip(s, candidates[lo:hi]):
-            ranks.append(rank_of_truth(r, cand, truth_column=0))
-    ranks = np.array(ranks)
-    return {
-        "hr5": float((ranks <= 5).mean()),
-        "hr10": float((ranks <= 10).mean()),
-        "mrr": float((1.0 / ranks).mean()),
-    }
+    ranks = rank_cases(ModelRanker(model), list(split.train), candidates, batch_size)
+    metrics = _group_metrics(ranks)
+    del metrics["support"]
+    return metrics
 
 
 def build_validation_candidates(

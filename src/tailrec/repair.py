@@ -9,9 +9,17 @@ rows with inferred vectors. The function is two-stage:
                pretrained encoder's structure (and usually its frozen
                weights): reading the state at a masked slot is the same
                job as reading the user state during pretraining.
-  aggregator   a set of window vectors -> one embedding. Self-attention
-               without positional encoding (the set is unordered), mean
-               pooled, then one affine layer back to d.
+  aggregator   a set of window vectors -> one embedding. A stack of the
+               encoder's own ``transformer_block`` without positional
+               encoding (the set is unordered), mean pooled, then one
+               affine layer back to d.
+
+Both parts are parameter dataclasses, so ``model.named_parameters`` names
+them (``interpreter.*``, then ``agg.blocks.{i}.*``, ``agg.out_w``,
+``agg.out_b``) and ``model.clone_model`` copies them. A trained function is
+stored in the same ``artifacts`` container as a model checkpoint, with kind
+``inference_function`` and the fingerprint of the base checkpoint it
+reproduces.
 
 Training is few-shot on purpose: each step sees only a handful of windows
 per target item, mimicking how little context the rare items actually have.
@@ -21,30 +29,29 @@ gradient step anywhere.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
+from .artifacts import FUNCTION_KIND, check_lineage, read_container, write_container
 from .data import ContextSet, ContextWindow
 from .errors import ConfigError, DataError, TrainingError
 from .model import (
     BlockParams,
+    EncoderParams,
     Model,
     ModelConfig,
     _init_block,
-    _mha,
-    EncoderParams,
+    clone_model,
     embed_sequence,
     encode_gru,
     encode_transformer,
     init_model,
     named_parameters,
-    clone_model,
     params_fingerprint,
+    transformer_block,
     trunc_normal,
 )
 from .optim import AdamState, adam_step
@@ -53,6 +60,7 @@ from .tensor import Tensor
 __all__ = [
     "FewShotConfig",
     "InferenceTrainConfig",
+    "Aggregator",
     "InferenceFunction",
     "InferredEmbedding",
     "derive_window_sizes",
@@ -141,6 +149,16 @@ class InferenceTrainConfig:
 
 
 @dataclass
+class Aggregator:
+    """Self-attention blocks over the window set, then an affine output."""
+
+    blocks: list[BlockParams]
+    n_heads: int
+    out_w: Tensor
+    out_b: Tensor
+
+
+@dataclass
 class InferenceFunction:
     """Trained embedding-inference function: interpreter + aggregator."""
 
@@ -151,13 +169,8 @@ class InferenceFunction:
     omega2: int
     kappa_max: int
     interpreter: EncoderParams  # .frozen controls whether training may touch it
-    agg_blocks: list[BlockParams] = field(default_factory=list)
-    agg_heads: int = 4
-    out_w: Tensor | None = None
-    out_b: Tensor | None = None
+    agg: Aggregator
     init_source: str = "pretrained"
-    interp_blocks: int = 0  # structural record for (de)serialization
-    interp_heads: int = 0
 
 
 @dataclass
@@ -167,30 +180,10 @@ class InferredEmbedding:
     provenance: str  # "original" | "inferred"
 
 
-def _copy_encoder(encoder: EncoderParams) -> EncoderParams:
-    def cp(t):
-        return None if t is None else Tensor(t.values.copy())
-
-    blocks = [
-        BlockParams(**{f: cp(getattr(b, f)) for f in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias")})
-        for b in encoder.blocks
-    ]
-    gru = None
-    if encoder.gru is not None:
-        from .model import GruParams
-
-        gru = GruParams(**{f: cp(getattr(encoder.gru, f)) for f in (
-            "wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")})
-    return EncoderParams(
-        variant=encoder.variant,
-        n_heads=encoder.n_heads,
-        blocks=blocks,
-        gru=gru,
-        head_w=cp(encoder.head_w),
-        head_b=cp(encoder.head_b),
-    )
+def _init_aggregator(rng, d: int, n_blocks: int, n_heads: int) -> Aggregator:
+    blocks = [_init_block(rng, d) for _ in range(n_blocks)]
+    return Aggregator(blocks=blocks, n_heads=n_heads,
+                      out_w=Tensor(trunc_normal(rng, (d, d))), out_b=Tensor(np.zeros(d)))
 
 
 def init_inference_function(
@@ -204,12 +197,10 @@ def init_inference_function(
         raise ConfigError(f"d={d} not divisible by n_agg_heads={cfg.n_agg_heads}")
     w1, w2 = few_shot.resolved_windows(model.config.variant, model.config.max_len)
     if cfg.phi_alpha_init == "pretrained":
-        interpreter = _copy_encoder(model.encoder)
+        interpreter = clone_model(model.encoder)
     else:
-        scratch = init_model(model.config, rng)
-        interpreter = scratch.encoder
+        interpreter = init_model(model.config, rng).encoder
     interpreter.frozen = cfg.phi_alpha_frozen
-    agg_blocks = [_init_block(rng, d) for _ in range(cfg.n_agg_blocks)]
     return InferenceFunction(
         variant=model.config.variant,
         d=d,
@@ -218,51 +209,22 @@ def init_inference_function(
         omega2=w2,
         kappa_max=few_shot.kappa_max,
         interpreter=interpreter,
-        agg_blocks=agg_blocks,
-        agg_heads=cfg.n_agg_heads,
-        out_w=Tensor(trunc_normal(rng, (d, d))),
-        out_b=Tensor(np.zeros(d)),
+        agg=_init_aggregator(rng, d, cfg.n_agg_blocks, cfg.n_agg_heads),
         init_source=cfg.phi_alpha_init,
-        interp_blocks=len(model.encoder.blocks),
-        interp_heads=model.encoder.n_heads,
     )
 
 
-_BLOCK_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias")
-_GRU_FIELDS = ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")
-
-
 def named_inference_parameters(fn: InferenceFunction) -> list[tuple[str, Tensor]]:
-    out = []
-    if fn.variant == "transformer":
-        for i, blk in enumerate(fn.interpreter.blocks):
-            for f in _BLOCK_FIELDS:
-                out.append((f"interpreter.blocks.{i}.{f}", getattr(blk, f)))
-        out += [("interpreter.head_w", fn.interpreter.head_w),
-                ("interpreter.head_b", fn.interpreter.head_b)]
-    else:
-        for f in _GRU_FIELDS:
-            out.append((f"interpreter.gru.{f}", getattr(fn.interpreter.gru, f)))
-    for i, blk in enumerate(fn.agg_blocks):
-        for f in _BLOCK_FIELDS:
-            out.append((f"agg.blocks.{i}.{f}", getattr(blk, f)))
-    out += [("agg.out_w", fn.out_w), ("agg.out_b", fn.out_b)]
-    return out
+    """``interpreter.*`` then ``agg.*``, from the one parameter walk."""
+    return named_parameters(fn)
 
 
 def trainable_inference_parameters(fn: InferenceFunction) -> list[tuple[str, Tensor]]:
     """Aggregator always trains; the interpreter joins only when unfrozen.
     The interpreter's user-state head is dead weight here (never on the
     forward path), so it is excluded even when unfrozen."""
-    pairs = named_inference_parameters(fn)
-    keep = []
-    for name, t in pairs:
-        if name.startswith("interpreter."):
-            if fn.interpreter.frozen or name.startswith("interpreter.head_"):
-                continue
-        keep.append((name, t))
-    return keep
+    skip = ("interpreter.",) if fn.interpreter.frozen else ("interpreter.head_",)
+    return [(name, t) for name, t in named_parameters(fn) if not name.startswith(skip)]
 
 
 def inference_fingerprint(fn: InferenceFunction) -> str:
@@ -347,17 +309,11 @@ def aggregate(
     h = T.reshape(reprs, (1, k, d))
     additive = np.zeros((1, 1, 1, k))
     rate = dropout_rate if training else 0.0
-    for block in fn.agg_blocks:
-        a = _mha(block, h, additive, fn.agg_heads)
-        if rate:
-            a = T.dropout(a, rate, training_flag=True, rng=rng)
-        a = T.layer_norm(T.add(h, a), block.ln1_gain, block.ln1_bias)
-        f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
-        if rate:
-            f = T.dropout(f, rate, training_flag=True, rng=rng)
-        h = T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
+    agg = fn.agg
+    for block in agg.blocks:
+        h = transformer_block(block, h, additive, agg.n_heads, rate, rng)
     pooled = T.reshape(T.mean_(h, axis=1), (1, d))
-    return T.add(T.matmul(pooled, fn.out_w), fn.out_b)
+    return T.add(T.matmul(pooled, agg.out_w), agg.out_b)
 
 
 def infer_one(
@@ -382,6 +338,28 @@ def infer_one(
         windows = [windows[i] for i in np.sort(pick)]
     reps = interpret_context(fn, model, windows)
     return aggregate(fn, reps).values[0].copy()
+
+
+def _frozen_context_reader(fn: InferenceFunction, model: Model, usable):
+    """``read(idx, pick)`` -> the eval-mode ``interpret_context`` of windows
+    ``pick`` of ``usable[idx]`` for an interpreter training never changes,
+    encoding each window once. A row of a batched product does not depend on
+    the rows beside it, so a window left to encode alone is batched with one
+    already kept; a pick of one is encoded alone, since a one-row product
+    takes another BLAS path and can round differently."""
+    kept: dict[tuple[int, int, bool], np.ndarray] = {}  # (idx, window, alone)
+
+    def read(idx: int, pick) -> Tensor:
+        keys = [(idx, int(i), len(pick) == 1) for i in pick]
+        todo = [k for k in keys if k not in kept]
+        if len(todo) == 1 and len(keys) > 1:
+            todo.append(next(k for k in keys if k != todo[0]))
+        if todo:
+            wins = usable[idx][1]
+            kept.update(zip(todo, interpret_context(fn, model, [wins[k[1]] for k in todo]).values))
+        return Tensor(np.stack([kept[k] for k in keys]))
+
+    return read
 
 
 def train_inference_function(
@@ -443,6 +421,9 @@ def train_inference_function(
     )
     base_params = named_parameters(model)
     frozen = fn.interpreter.frozen
+    if frozen:
+        read_frozen = _frozen_context_reader(fn, model, usable)
+        probe_reps = [interpret_context(fn, model, wins) for _, wins in probe]
     curve: list[float] = []
 
     for epoch in range(cfg.epochs):
@@ -455,14 +436,13 @@ def train_inference_function(
             else:
                 kappa = min(k_avail, cfg.context_batch_cap)
             pick = sample_rng.choice(k_avail, size=kappa, replace=False)
-            chosen = [wins[i] for i in pick]
             if frozen:
                 # outside the tape: gradient provably cannot reach the interpreter
-                reps = interpret_context(fn, model, chosen)
+                reps = read_frozen(idx, pick)
             with T.Tape() as tape:
                 if not frozen:
                     reps = interpret_context(
-                        fn, model, chosen,
+                        fn, model, [wins[i] for i in pick],
                         training=True, rng=drop_rng, dropout_rate=cfg.dropout_rate,
                     )
                 e_hat = aggregate(fn, reps, training=True, rng=drop_rng,
@@ -471,24 +451,21 @@ def train_inference_function(
                 loss = T.sum_(T.mul(diff, diff))
                 value = loss.item()
                 if not np.isfinite(value):
-                    raise TrainingError(
-                        f"distance diverged (epoch {epoch}, item {item})"
-                    )
+                    raise TrainingError(f"distance diverged (epoch {epoch}, item {item})")
                 tape.backward(loss)
             try:
                 adam_step(opt, [t for _, t in trainable])
             except FloatingPointError as exc:
-                raise TrainingError(
-                    f"training diverged (epoch {epoch}, item {item})"
-                ) from exc
+                raise TrainingError(f"training diverged (epoch {epoch}, item {item})") from exc
             T.reset_grads([t for _, t in trainable])
             if not frozen:
                 # lookups route gradient into the base table; drop it, the
                 # featurizer is not part of the trained function
                 T.reset_grads([t for _, t in base_params])
         dists = []
-        for item, wins in probe:
-            e_hat = aggregate(fn, interpret_context(fn, model, wins)).values[0]
+        for i, (item, wins) in enumerate(probe):
+            reps = probe_reps[i] if frozen else interpret_context(fn, model, wins)
+            e_hat = aggregate(fn, reps).values[0]
             delta = e_hat - targets[item]
             dists.append(float(np.dot(delta, delta)))
         curve.append(float(np.mean(dists)))
@@ -608,28 +585,13 @@ def infer_new_item(
                 raise DataError(f"context window references unknown item index {idx}")
     vec = infer_one(fn, model, windows, rng=rng, context_batch_cap=context_batch_cap)
 
-    cfg = model.config
-    new_cfg = ModelConfig(
-        variant=cfg.variant, n_items=n + 1, d=cfg.d, n_blocks=cfg.n_blocks,
-        n_heads=cfg.n_heads, max_len=cfg.max_len, dropout_rate=cfg.dropout_rate,
-    )
-    extended = init_model(new_cfg, np.random.default_rng(0))
-    src = dict(named_parameters(model))
-    for name, tgt in named_parameters(extended):
-        if name == "table.weights":
-            w = src[name].values
-            nw = np.empty((n + 3, cfg.d))
-            nw[:n] = w[:n]
-            nw[n] = vec
-            nw[n + 1] = w[n]      # pad row
-            nw[n + 2] = w[n + 1]  # [mask] row
-            tgt.values = nw
-        elif name == "table.item_bias":
-            tgt.values = np.append(src[name].values, 0.0)
-        else:
-            tgt.values = src[name].values.copy()
-        tgt.grad = None
-    extended.encoder.frozen = model.encoder.frozen
+    extended = clone_model(model)
+    extended.config = replace(model.config, n_items=n + 1)
+    table = extended.table
+    w = table.weights.values  # the new row goes before the pad and [mask] rows
+    table.weights.values = np.concatenate([w[:n], vec[None, :], w[n:]])
+    table.item_bias.values = np.append(table.item_bias.values, 0.0)
+    table.pad_index, table.mask_index = n + 1, n + 2
     return InferredEmbedding(n, vec, "inferred"), extended
 
 
@@ -642,9 +604,6 @@ def nearest_head_distance(weights: np.ndarray, partition) -> float:
     return float(np.mean(np.sqrt(np.maximum(d2, 0.0)).min(axis=1)))
 
 
-INFERENCE_CHECKPOINT_VERSION = 1
-
-
 def save_inference_function(
     path,
     fn: InferenceFunction,
@@ -652,59 +611,41 @@ def save_inference_function(
     catalog_hash: str = "",
     meta: dict | None = None,
 ) -> None:
-    """Same JSON container idea as model checkpoints, tagged with the
-    fingerprint of the base checkpoint the function was trained against."""
-    doc = {
-        "version": INFERENCE_CHECKPOINT_VERSION,
-        "kind": "inference_function",
-        "source_fingerprint": source_fingerprint,
-        "catalog_hash": catalog_hash,
-        "config": {
-            "variant": fn.variant,
-            "d": fn.d,
-            "max_len": fn.max_len,
-            "omega1": fn.omega1,
-            "omega2": fn.omega2,
-            "kappa_max": fn.kappa_max,
-            "agg_heads": fn.agg_heads,
-            "n_agg_blocks": len(fn.agg_blocks),
-            "frozen": fn.interpreter.frozen,
-            "init_source": fn.init_source,
-            "interp_blocks": fn.interp_blocks,
-            "interp_heads": fn.interp_heads,
-        },
-        "params": {name: t.values.tolist() for name, t in named_inference_parameters(fn)},
-        "meta": meta or {},
+    """The model checkpoint container, kind ``inference_function``, tagged
+    with the fingerprint of the base checkpoint the function was trained
+    against."""
+    config = {
+        "variant": fn.variant,
+        "d": fn.d,
+        "max_len": fn.max_len,
+        "omega1": fn.omega1,
+        "omega2": fn.omega2,
+        "kappa_max": fn.kappa_max,
+        "agg_heads": fn.agg.n_heads,
+        "n_agg_blocks": len(fn.agg.blocks),
+        "frozen": fn.interpreter.frozen,
+        "init_source": fn.init_source,
+        "interp_blocks": len(fn.interpreter.blocks),
+        "interp_heads": fn.interpreter.n_heads,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    write_container(path, FUNCTION_KIND, config, named_parameters(fn), catalog_hash, meta,
+                    source_fingerprint=source_fingerprint)
 
 
-def _structural_fn(config: dict) -> InferenceFunction:
-    """Rebuild an InferenceFunction skeleton (values filled by the caller)."""
-    variant, d, ml = config["variant"], config["d"], config["max_len"]
-    shell_cfg = ModelConfig(
-        variant=variant, n_items=1, d=d,
-        n_blocks=config["interp_blocks"] or 1,
-        n_heads=config["interp_heads"] or 1,
-        max_len=ml,
-    )
-    shell = init_model(shell_cfg, np.random.default_rng(0))
-    interpreter = shell.encoder
-    interpreter.frozen = config["frozen"]
+def _skeleton(config: dict) -> InferenceFunction:
+    """An InferenceFunction of the recorded structure; the loader fills it."""
     rng = np.random.default_rng(0)
+    d = config["d"]
+    interpreter = init_model(ModelConfig(
+        variant=config["variant"], n_items=1, d=d, n_blocks=config["interp_blocks"],
+        n_heads=config["interp_heads"], max_len=config["max_len"]), rng).encoder
+    interpreter.frozen = config["frozen"]
     return InferenceFunction(
-        variant=variant, d=d, max_len=ml,
-        omega1=config["omega1"], omega2=config["omega2"],
-        kappa_max=config["kappa_max"],
+        variant=config["variant"], d=d, max_len=config["max_len"],
+        omega1=config["omega1"], omega2=config["omega2"], kappa_max=config["kappa_max"],
         interpreter=interpreter,
-        agg_blocks=[_init_block(rng, d) for _ in range(config["n_agg_blocks"])],
-        agg_heads=config["agg_heads"],
-        out_w=Tensor(np.zeros((d, d))),
-        out_b=Tensor(np.zeros(d)),
+        agg=_init_aggregator(rng, d, config["n_agg_blocks"], config["agg_heads"]),
         init_source=config["init_source"],
-        interp_blocks=config["interp_blocks"],
-        interp_heads=config["interp_heads"],
     )
 
 
@@ -713,26 +654,8 @@ def load_inference_function(path, expected_source_fingerprint: str | None = None
     whose recorded base-checkpoint fingerprint does not match the expected
     one — an inference function is only valid against the table it was
     trained to reproduce."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != INFERENCE_CHECKPOINT_VERSION or doc.get("kind") != "inference_function":
-        raise DataError(f"{path}: not an inference-function checkpoint")
-    if (
-        expected_source_fingerprint is not None
-        and doc["source_fingerprint"] != expected_source_fingerprint
-    ):
-        raise DataError(
-            f"{path}: trained against a different base checkpoint "
-            f"({doc['source_fingerprint'][:12]}… vs expected {expected_source_fingerprint[:12]}…)"
-        )
-    fn = _structural_fn(doc["config"])
-    stored = doc["params"]
-    names = [n for n, _ in named_inference_parameters(fn)]
-    if set(stored) != set(names):
-        raise DataError(f"{path}: parameter set does not match recorded structure")
-    for name, t in named_inference_parameters(fn):
-        arr = np.array(stored[name], dtype=np.float64)
-        if arr.shape != t.values.shape:
-            raise DataError(f"{path}: parameter {name} has shape {arr.shape}, expected {t.values.shape}")
-        t.values = arr
-    return fn, doc.get("meta", {}), doc["source_fingerprint"], doc.get("catalog_hash", "")
+    fn, doc = read_container(path, "inference function", lambda kind: kind == FUNCTION_KIND,
+                             _skeleton, named_parameters, lineage=("source_fingerprint",))
+    check_lineage(path, doc["source_fingerprint"], expected_source_fingerprint,
+                  "trained against a different base checkpoint")
+    return fn, doc["meta"], doc["source_fingerprint"], doc["catalog_hash"]

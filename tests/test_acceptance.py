@@ -173,14 +173,14 @@ def test_gradient_suite_every_layer_matches_finite_differences():
         np.random.default_rng(1))
     reps = T.Tensor(rng.standard_normal((5, 8)) * 0.4)
     w_agg = np.linspace(0.3, 1.2, 8).reshape(1, 8)
-    agg = fn.agg_blocks[0]
+    agg = fn.agg.blocks[0]
 
     def fwd_agg():
         return T.sum_(T.mul(aggregate(fn, reps), w_agg))
 
     _check_layer("aggregator", [
-        ("attn.wv", agg.wv), ("ff.w1", agg.w1), ("out_w", fn.out_w),
-        ("out_b", fn.out_b), ("input", reps),
+        ("attn.wv", agg.wv), ("ff.w1", agg.w1), ("out_w", fn.agg.out_w),
+        ("out_b", fn.agg.out_b), ("input", reps),
     ], fwd_agg, failures)
 
     elapsed = time.time() - t0

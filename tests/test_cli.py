@@ -235,6 +235,41 @@ def test_variant_flag_mismatching_checkpoint_exits_3(workspace):
                "train-cities") == 3
 
 
+def _without(text, *keys):
+    doc = json.loads(text)
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return json.dumps(doc)
+
+
+def _with_nan(text):
+    doc = json.loads(text)
+    doc["params"]["agg.out_b"][0] = float("nan")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command,flag,source,corrupt", [
+    ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: t[: len(t) // 2]),
+    ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: _without(t, "config")),
+    ("apply-eval", "--cities", "cities_gru.json", lambda t: _without(t, "config", "omega1")),
+    ("apply-eval", "--checkpoint", "cities_gru.json", lambda t: t),
+    ("export-embeddings", "--checkpoint", "cities_gru.json", lambda t: t),
+    ("apply-eval", "--cities", "cities_gru.json", _with_nan),
+], ids=["truncated-checkpoint", "checkpoint-without-config", "function-without-omega1",
+        "function-as-checkpoint-apply-eval", "function-as-checkpoint-export",
+        "function-with-nan-weight"])
+def test_corrupted_artifact_exits_3_with_one_line(workspace, tmp_path, capsys,
+                                                  command, flag, source, corrupt):
+    bad = tmp_path / source
+    bad.write_text(corrupt((workspace["out"] / source).read_text()))
+    capsys.readouterr()
+    assert run("--config", workspace["config"], command, flag, bad) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "\n" not in err
+
+
 # --------------------------------------------------------- apply-eval
 
 

@@ -16,12 +16,10 @@ from tailrec.evaluate import (
     PopRanker,
     RerankByPopularity,
     SPopRanker,
+    _group_metrics,
     evaluate,
-    hit_ratio,
     make_baseline,
     rank_of_truth,
-    reciprocal_rank,
-    rerank_by_popularity,
     transition_counts,
 )
 from tailrec.model import ModelConfig, encode, init_model, named_parameters
@@ -59,19 +57,16 @@ class ConstRanker:
 
 
 def test_hit_ratio_points():
-    assert hit_ratio(1, 5) == 1
-    assert hit_ratio(7, 5) == 0
-    assert hit_ratio(7, 10) == 1
-    assert hit_ratio(5, 5) == 1
-    with pytest.raises(ValueError):
-        hit_ratio(0, 5)
+    assert _group_metrics(np.array([1]))["hr5"] == 1.0
+    assert _group_metrics(np.array([7]))["hr5"] == 0.0
+    assert _group_metrics(np.array([7]))["hr10"] == 1.0
+    assert _group_metrics(np.array([5]))["hr5"] == 1.0
 
 
 def test_reciprocal_rank_points():
-    assert reciprocal_rank(1) == 1.0
-    assert reciprocal_rank(4) == 0.25
-    ranks = [1, 2, 4]
-    assert abs(np.mean([reciprocal_rank(r) for r in ranks]) - 7 / 12) < 1e-12
+    assert _group_metrics(np.array([1]))["mrr"] == 1.0
+    assert _group_metrics(np.array([4]))["mrr"] == 0.25
+    assert abs(_group_metrics(np.array([1, 2, 4]))["mrr"] - 7 / 12) < 1e-12
 
 
 def test_rank_matches_brute_force_on_random_lists():
@@ -337,33 +332,48 @@ def test_transition_counts_match_bigram_oracle():
     np.testing.assert_array_equal(counts, brute)
 
 
+def reranked(pre_ranked, k, popularity):
+    """Final order RerankByPopularity gives a base ranking ``pre_ranked``."""
+    cand = np.asarray(pre_ranked)[None, :]
+
+    class Base:
+        def score_batch(self, histories, candidates):
+            return -np.arange(candidates.shape[1], dtype=np.float64)[None, :]
+
+    ranker = RerankByPopularity(Base(), make_catalog(popularity), k=k)
+    scores = ranker.score_batch([np.array([0])], cand)[0]
+    return cand[0][np.lexsort((cand[0], -scores))]
+
+
 def test_rerank_k1_picks_least_popular():
     pop = np.zeros(10)
     pop[[7, 8, 9]] = [9, 1, 5]
-    out = rerank_by_popularity(np.array([7, 8, 9]), 1, pop)
-    assert out.tolist() == [8]
+    out = reranked(np.array([7, 8, 9]), 1, pop)
+    assert out[:1].tolist() == [8]
 
 
 def test_rerank_equal_popularity_keeps_base_order():
     pop = np.ones(10)
     pre = np.array([4, 2, 9, 0, 5])
-    out = rerank_by_popularity(pre, 1, pop)
-    assert out.tolist() == [4]
-    np.testing.assert_array_equal(rerank_by_popularity(pre, 1, pop), pre[:1])
+    out = reranked(pre, 1, pop)
+    assert out[:1].tolist() == [4]
+    np.testing.assert_array_equal(out, pre)
 
 
 def test_rerank_output_subset_of_input():
     rng = np.random.default_rng(10)
-    pop = rng.integers(0, 100, size=200).astype(float)
+    pop = rng.integers(0, 100, size=200)
     pre = rng.choice(200, size=60, replace=False)
-    out = rerank_by_popularity(pre, 10, pop)
-    assert len(out) == 10
-    assert set(out.tolist()) <= set(pre.tolist())
+    out = reranked(pre, 10, pop)
+    assert len(out) == 60
+    assert set(out[:10].tolist()) <= set(pre[:50].tolist())
+    np.testing.assert_array_equal(out[50:], pre[50:])  # below the window: base order
 
 
-def test_rerank_too_short_list_rejected():
-    with pytest.raises(DataError):
-        rerank_by_popularity(np.arange(4), 10, np.ones(10))
+def test_rerank_list_shorter_than_window_is_reordered_whole():
+    pop = np.array([3, 1, 2, 0, 9])
+    out = reranked(np.arange(4), 10, pop)
+    assert out.tolist() == [3, 1, 2, 0]
 
 
 def test_rerank_ranker_orders_least_popular_first_in_window():

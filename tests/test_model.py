@@ -95,7 +95,6 @@ def test_transformer_activation_shapes():
     assert out.shape == (2, 8)
     assert len(acts.hidden) == 3  # input plus one per block
     assert all(h.shape == (2, 7, 8) for h in acts.hidden)
-    assert len(acts.post_attention) == 2
 
 
 def test_pad_row_content_cannot_leak_into_state():

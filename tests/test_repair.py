@@ -39,6 +39,7 @@ from tailrec.repair import (
     save_inference_function,
     train_inference_function,
     trainable_inference_parameters,
+    _frozen_context_reader,
 )
 
 D = 8
@@ -297,6 +298,21 @@ def test_frozen_interpreter_never_moves():
     base = dict(named_parameters(model))
     for name, t in interp:
         assert np.array_equal(t.values, base[name.replace("interpreter.", "encoder.")].values)
+
+
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_frozen_reader_gives_the_vectors_of_encoding_each_pick(variant):
+    # training reads a frozen interpreter's window vectors from this cache;
+    # each read must be bitwise what encoding the pick itself gives, or the
+    # trained function would drift from the uncached one
+    model = tiny_model(variant, seed=2)
+    fn = default_fn(model)
+    usable = [(cs.item, list(cs.windows)) for cs in small_sets(n_targets=2, k=6)]
+    read = _frozen_context_reader(fn, model, usable)
+    for idx, pick in [(0, [4]), (0, [1, 3, 5]), (0, [3, 0]), (0, [4]), (0, [5, 2, 1, 0, 3, 4]),
+                      (1, [2, 5]), (1, [5]), (1, [5, 2])]:
+        direct = interpret_context(fn, model, [usable[idx][1][i] for i in pick]).values
+        assert np.array_equal(read(idx, np.array(pick)).values, direct), (idx, pick)
 
 
 def test_unfrozen_interpreter_moves_but_base_model_does_not():
