@@ -58,7 +58,7 @@ from .repair import (
     InferenceTrainConfig,
     apply_embeddings,
     infer_embeddings,
-    infer_new_item,
+    infer_new_items,
     inference_fingerprint,
     load_inference_function,
     save_inference_function,
@@ -228,14 +228,30 @@ def load_store(path: str):
     doc = read_json(path, "dataset store")
     if doc.get("version") != 1:
         raise DataError(f"{path}: unsupported store version {doc.get('version')!r}")
-    item_ids = doc["item_ids"]
+    missing = [k for k in ("dataset_hash", "item_ids", "users", "sequences") if k not in doc]
+    if missing:
+        raise DataError(f"{path}: store has no {', '.join(missing)}")
+    item_ids, users = doc["item_ids"], doc["users"]
+    if not all(isinstance(doc[k], list) for k in ("item_ids", "users", "sequences")):
+        raise DataError(f"{path}: item_ids, users and sequences must be lists")
+    if len(users) != len(doc["sequences"]):
+        raise DataError(f"{path}: {len(users)} users but {len(doc['sequences'])} sequences")
     n = len(item_ids)
-    full_pop = np.zeros(n, dtype=np.int64)
+    if not all(isinstance(i, str) for i in item_ids) or len(set(item_ids)) != n:
+        raise DataError(f"{path}: item_ids must be distinct strings")
     sequences = []
-    for user, items in zip(doc["users"], doc["sequences"]):
-        arr = np.asarray(items, dtype=np.int64)
-        full_pop += np.bincount(arr, minlength=n)
-        sequences.append(UserSequence(user=user, items=arr))
+    for user, items in zip(users, doc["sequences"]):
+        try:
+            arr = np.asarray(items if isinstance(items, list) else None)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise DataError(f"{path}: the sequence of user {user!r} is not a list of item indices")
+        if arr.size and not (arr.min() >= 0 and arr.max() < n):
+            raise DataError(f"{path}: user {user!r} has an item index outside [0, {n})")
+        sequences.append(UserSequence(user=user, items=arr.astype(np.int64)))
+    flat = np.concatenate([s.items for s in sequences]) if sequences else np.zeros(0, np.int64)
+    full_pop = np.bincount(flat, minlength=n)
     catalog = Catalog(
         item_ids=item_ids,
         index_of={i: k for k, i in enumerate(item_ids)},
@@ -577,6 +593,7 @@ def cmd_sweep(cfg, args):
     ev = cfg["evaluate"]
     run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
     all_sets = extract_context_sets(split, range(catalog.n_items), fn.omega1, fn.omega2)
+    cache = {}  # window vectors; every value indexes the windows of all_sets
 
     rows = []
     for v in sorted(values):
@@ -589,7 +606,7 @@ def cmd_sweep(cfg, args):
         tail_sets = [all_sets[int(i)] for i in part_v.tail_set]
         inferred = infer_embeddings(fn, model, tail_sets, part_v,
                                     rng=np.random.default_rng([ev["seed"], 9]),
-                                    context_batch_cap=cap)
+                                    context_batch_cap=cap, cache=cache)
         repaired = apply_embeddings(model, inferred)
         report = run(ModelRanker(repaired), part_v)
         rows.append((float(v), report["all"]["hr10"]))
@@ -605,18 +622,51 @@ def cmd_sweep(cfg, args):
             "inference_function": inference_fingerprint(fn)}, [path]
 
 
-def _window_from_ids(payload_window: dict, index_of: dict) -> ContextWindow:
-    def to_idx(ids):
-        out = []
-        for s in ids:
-            if s not in index_of:
-                raise DataError(f"context references unknown item id {s!r}")
-            out.append(index_of[s])
-        return np.asarray(out, dtype=np.int64)
+def _indices(ids, index_of: dict, what: str) -> list[int]:
+    """Catalog indices of a list of item ids; a DataError names ``what``."""
+    if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
+        raise DataError(f"{what} must be a list of item ids")
+    unknown = next((s for s in ids if s not in index_of), None)
+    if unknown is not None:
+        raise DataError(f"{what} references unknown item id {unknown!r}")
+    return [index_of[s] for s in ids]
 
-    left = to_idx(payload_window.get("left", []))
-    right = to_idx(payload_window.get("right", []))
+
+def _window_from_ids(payload_window: dict, index_of: dict) -> ContextWindow:
+    if not isinstance(payload_window, dict):
+        raise DataError("a context window must be an object with left/right id lists")
+    left, right = (np.asarray(_indices(payload_window.get(side, []), index_of,
+                                       f"context window side {side!r}"), dtype=np.int64)
+                   for side in ("left", "right"))
     return ContextWindow(left=left, right=right, user_index=-1, position=len(left))
+
+
+def _read_new_items(path: str, index_of: dict) -> list:
+    """-> [(item id, windows, test histories as index lists)] from a new-item
+    context file; a missing or mistyped field is a one-line DataError."""
+    payload = read_json(path, "context file")
+    if not isinstance(payload.get("items"), list):
+        raise DataError(f"{path}: 'items' must be a list")
+    out = []
+    for entry in payload["items"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("item"), str):
+            raise DataError(f"{path}: every entry of 'items' needs an 'item' id string")
+        where = f"{path}: new item {entry['item']!r}"
+        for key in ("windows", "test_cases"):
+            if not isinstance(entry.get(key), list):
+                raise DataError(f"{where}: '{key}' must be a list")
+        if not entry["windows"]:
+            raise DataError(f"{where} has no context windows")
+        windows = [_window_from_ids(w, index_of) for w in entry["windows"]]
+        histories = []
+        for case in entry["test_cases"]:
+            history = _indices(case.get("history") if isinstance(case, dict) else None,
+                               index_of, f"{where}: test history")
+            if not history:
+                raise DataError(f"{where}: a test case has an empty 'history'")
+            histories.append(history)
+        out.append((entry["item"], windows, histories))
+    return out
 
 
 def cmd_new_item(cfg, args):
@@ -625,44 +675,32 @@ def cmd_new_item(cfg, args):
     contexts_path = getattr(args, "contexts", None) or cfg["new_item"]["contexts"]
     if not contexts_path:
         raise ConfigError("new-item needs a context file (--contexts or new_item.contexts)")
-    payload = read_json(contexts_path, "context file")
+    new_items = _read_new_items(contexts_path, catalog.index_of)
 
     ev = cfg["evaluate"]
     neg_rng = np.random.default_rng([ev["seed"], 5])
-    cap = cfg["cities"]["context_batch_cap"]
-    current = model
+    entries, extended = infer_new_items(fn, model, [wins for _, wins, _ in new_items],
+                                        seed=[ev["seed"], 9],
+                                        context_batch_cap=cfg["cities"]["context_batch_cap"])
+    ranker = ModelRanker(extended)
     results = []
-    embeddings = []
     ranks_all = []
-    for entry in payload.get("items", []):
-        windows = [_window_from_ids(w, catalog.index_of) for w in entry.get("windows", [])]
-        if not windows:
-            raise DataError(f"new item {entry.get('item')!r} has no context windows")
-        new_index = current.config.n_items
-        emb, current = infer_new_item(fn, current, windows,
-                                      rng=np.random.default_rng([ev["seed"], 9]),
-                                      context_batch_cap=cap)
-        embeddings.append((entry["item"], new_index, emb.vector))
-
+    for (item_id, windows, case_histories), emb in zip(new_items, entries):
         histories, cands = [], []
-        for case in entry.get("test_cases", []):
-            hist = [catalog.index_of.get(s) for s in case["history"]]
-            if any(h is None for h in hist):
-                bad = next(s for s in case["history"] if s not in catalog.index_of)
-                raise DataError(f"test history references unknown item id {bad!r}")
+        for hist in case_histories:
             negatives = sample_negatives(
                 np.asarray(hist, dtype=np.int64), catalog, ev["n_negatives"], neg_rng,
                 source=ev["negative_source"])
-            histories.append(np.asarray(hist[-current.config.max_len:]))
-            cands.append(np.concatenate([[new_index], negatives]))
+            histories.append(np.asarray(hist[-extended.config.max_len:]))
+            cands.append(np.concatenate([[emb.item], negatives]))
         if histories:
             # one case per call keeps each case's scores independent of the
             # other cases in the file (BLAS may round a batch differently)
-            ranks = rank_cases(ModelRanker(current), histories, np.stack(cands), batch_size=1)
+            ranks = rank_cases(ranker, histories, np.stack(cands), batch_size=1)
             g = _group_metrics(ranks)
             results.append({
-                "item": entry["item"],
-                "index": new_index,
+                "item": item_id,
+                "index": emb.item,
                 "n_windows": len(windows),
                 "n_test_cases": g["support"],
                 "hr10": g["hr10"],
@@ -674,7 +712,7 @@ def cmd_new_item(cfg, args):
         raise DataError("context file contains no usable test cases")
     g = _group_metrics(np.concatenate(ranks_all))
     overall = {
-        "n_items": len(embeddings),
+        "n_items": len(entries),
         "n_test_cases": g["support"],
         "hr5": g["hr5"],
         "hr10": g["hr10"],
@@ -697,8 +735,8 @@ def cmd_new_item(cfg, args):
     with open(emb_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "index", *[f"e{i}" for i in range(model.config.d)]])
-        for item_id, idx, vec in embeddings:
-            w.writerow([item_id, idx, *[repr(float(x)) for x in vec]])
+        for (item_id, _, _), emb in zip(new_items, entries):
+            w.writerow([item_id, emb.item, *[repr(float(x)) for x in emb.vector]])
 
     print(f"{overall['n_items']} new items, {overall['n_test_cases']} test cases: "
           f"hr10 {overall['hr10']:.4f}  mrr {overall['mrr']:.4f}")

@@ -343,7 +343,12 @@ def sample_negatives(
         pop = catalog.test_popularity
     else:
         raise DataError(f"unknown popularity source {source!r}")
-    eligible = np.setdiff1d(np.arange(catalog.n_items), np.asarray(user_items, dtype=np.int64))
+    user_items = np.asarray(user_items, dtype=np.int64)
+    if user_items.size and not (user_items.min() >= 0 and user_items.max() < catalog.n_items):
+        raise DataError(f"user item index outside the catalog [0, {catalog.n_items})")
+    keep = np.ones(catalog.n_items, dtype=bool)
+    keep[user_items] = False
+    eligible = np.flatnonzero(keep)
     if len(eligible) < n:
         raise DataError(f"need {n} negatives but only {len(eligible)} eligible items exist")
     w = pop[eligible].astype(np.float64)

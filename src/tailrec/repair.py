@@ -25,6 +25,12 @@ Training is few-shot on purpose: each step sees only a handful of windows
 per target item, mimicking how little context the rare items actually have.
 New items never seen in training get a row appended the same way, with no
 gradient step anywhere.
+
+A window's vector depends only on the window and the interpreter, so every
+window is encoded once and kept (``_encode_missing``), keyed by (item,
+window index, alone). Training with a frozen interpreter fills the cache
+step by step; inference picks the windows of every item first, then encodes
+all those not yet kept in a few batched calls and pools each item's vectors.
 """
 
 from __future__ import annotations
@@ -72,11 +78,9 @@ __all__ = [
     "aggregate",
     "infer_one",
     "train_inference_function",
-    "reproduction_stats",
     "infer_embeddings",
     "apply_embeddings",
-    "infer_new_item",
-    "nearest_head_distance",
+    "infer_new_items",
     "save_inference_function",
     "load_inference_function",
 ]
@@ -316,6 +320,70 @@ def aggregate(
     return T.add(T.matmul(pooled, agg.out_w), agg.out_b)
 
 
+# Windows per interpret_context call when the read path encodes many at
+# once: few calls, so the per-op overhead of the tape ops is paid rarely,
+# and the (windows, max_len, d) activations of one call stay small.
+_ENCODE_CHUNK = 1024
+
+
+def _pick(fn: InferenceFunction, windows, rng, context_batch_cap: int):
+    """-> (usable windows, sorted indices of the ones to encode).
+
+    Items with more usable windows than the cap get a uniform subsample drawn
+    from ``rng`` (a fresh ``default_rng(0)`` when None); the cap is a memory
+    guard, not a modeling choice. Items within the cap draw nothing.
+    """
+    usable = [w for w in windows if _usable(fn, w)]
+    if len(usable) <= context_batch_cap:
+        return usable, np.arange(len(usable))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return usable, np.sort(rng.choice(len(usable), size=context_batch_cap, replace=False))
+
+
+def _encode_missing(fn: InferenceFunction, model: Model, requests, kept: dict) -> None:
+    """Put the eval-mode ``interpret_context`` vector of every window of
+    ``requests`` -- (key, windows, pick) triples -- into ``kept`` unless it
+    is there, keyed (key, window index, alone).
+
+    A row of a batched product does not depend on the rows beside it, so the
+    windows of all picks share chunked calls. A one-row product takes another
+    BLAS path and can round differently: a pick of one is therefore encoded
+    alone, and no chunk holds a single window (one left to encode is batched
+    with one already kept, a lone last one joins the chunk before it).
+    """
+    batched: dict[tuple, ContextWindow] = {}
+    for key, wins, pick in requests:
+        if len(pick) == 1:
+            k = (key, int(pick[0]), True)
+            if k not in kept:
+                kept[k] = interpret_context(fn, model, [wins[k[1]]]).values[0]
+        else:
+            batched.update(((key, int(i), False), wins[i]) for i in pick)
+    todo = [k for k in batched if k not in kept]
+    if len(todo) == 1:
+        todo.append(next(k for k in batched if k != todo[0]))
+    bounds = [*range(0, len(todo), _ENCODE_CHUNK), len(todo)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = todo[lo:hi]
+        kept.update(zip(chunk, interpret_context(fn, model, [batched[k] for k in chunk]).values))
+
+
+def _kept_rows(kept: dict, key, pick) -> Tensor:
+    alone = len(pick) == 1
+    return Tensor(np.stack([kept[(key, int(i), alone)] for i in pick]))
+
+
+def _infer_picks(fn: InferenceFunction, model: Model, picks, kept: dict) -> list[np.ndarray]:
+    """One eval-mode embedding per (key, windows, pick), after every window
+    the picks lack in ``kept`` is encoded in batches."""
+    _encode_missing(fn, model, picks, kept)
+    return [aggregate(fn, _kept_rows(kept, key, pick)).values[0].copy()
+            for key, _, pick in picks]
+
+
 def infer_one(
     fn: InferenceFunction,
     model: Model,
@@ -324,40 +392,22 @@ def infer_one(
     context_batch_cap: int = 64,
 ) -> np.ndarray:
     """Deterministic (eval-mode) embedding from a window list -> (d,) array.
-
-    Items with more windows than the cap get a uniform subsample; the cap is
-    a memory guard, not a modeling choice.
-    """
-    windows = [w for w in windows if _usable(fn, w)]
-    if not windows:
+    At most ``context_batch_cap`` usable windows are read (see ``_pick``)."""
+    wins, pick = _pick(fn, windows, rng, context_batch_cap)
+    if not wins:
         raise DataError("no usable context windows")
-    if len(windows) > context_batch_cap:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        pick = rng.choice(len(windows), size=context_batch_cap, replace=False)
-        windows = [windows[i] for i in np.sort(pick)]
-    reps = interpret_context(fn, model, windows)
-    return aggregate(fn, reps).values[0].copy()
+    return _infer_picks(fn, model, [(0, wins, pick)], {})[0]
 
 
 def _frozen_context_reader(fn: InferenceFunction, model: Model, usable):
     """``read(idx, pick)`` -> the eval-mode ``interpret_context`` of windows
     ``pick`` of ``usable[idx]`` for an interpreter training never changes,
-    encoding each window once. A row of a batched product does not depend on
-    the rows beside it, so a window left to encode alone is batched with one
-    already kept; a pick of one is encoded alone, since a one-row product
-    takes another BLAS path and can round differently."""
-    kept: dict[tuple[int, int, bool], np.ndarray] = {}  # (idx, window, alone)
+    encoding each window once (see ``_encode_missing``)."""
+    kept: dict[tuple[int, int, bool], np.ndarray] = {}
 
     def read(idx: int, pick) -> Tensor:
-        keys = [(idx, int(i), len(pick) == 1) for i in pick]
-        todo = [k for k in keys if k not in kept]
-        if len(todo) == 1 and len(keys) > 1:
-            todo.append(next(k for k in keys if k != todo[0]))
-        if todo:
-            wins = usable[idx][1]
-            kept.update(zip(todo, interpret_context(fn, model, [wins[k[1]] for k in todo]).values))
-        return Tensor(np.stack([kept[k] for k in keys]))
+        _encode_missing(fn, model, [(idx, usable[idx][1], pick)], kept)
+        return _kept_rows(kept, idx, pick)
 
     return read
 
@@ -472,44 +522,6 @@ def train_inference_function(
     return fn, curve, skipped
 
 
-def reproduction_stats(
-    fn: InferenceFunction,
-    model: Model,
-    context_sets: list[ContextSet],
-    kappa: int | None = None,
-    rng: np.random.Generator | None = None,
-    context_batch_cap: int = 64,
-) -> dict:
-    """Eval-mode reproduction quality against the base model's rows.
-
-    kappa=None uses every usable window (up to the cap); an integer samples
-    that many per item, which is how the few-shot robustness of a trained
-    function is probed. Items without usable windows are ignored.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    sq, cos = [], []
-    for cs in context_sets:
-        wins = [w for w in cs.windows if _usable(fn, w)]
-        if not wins:
-            continue
-        if kappa is not None and len(wins) > kappa:
-            pick = rng.choice(len(wins), size=kappa, replace=False)
-            wins = [wins[i] for i in np.sort(pick)]
-        vec = infer_one(fn, model, wins, rng=rng, context_batch_cap=context_batch_cap)
-        target = model.table.weights.values[cs.item]
-        sq.append(float(np.sum((vec - target) ** 2)))
-        denom = np.linalg.norm(vec) * np.linalg.norm(target)
-        cos.append(float(np.dot(vec, target) / denom) if denom > 0 else 0.0)
-    if not sq:
-        raise DataError("no items with usable context windows to evaluate")
-    return {
-        "n_items": len(sq),
-        "mean_sq_distance": float(np.mean(sq)),
-        "mean_cosine": float(np.mean(cos)),
-    }
-
-
 def infer_embeddings(
     fn: InferenceFunction,
     model: Model,
@@ -517,25 +529,32 @@ def infer_embeddings(
     partition,
     rng: np.random.Generator | None = None,
     context_batch_cap: int = 64,
+    cache: dict | None = None,
 ) -> list[InferredEmbedding]:
     """One entry per catalog item. Head rows pass through bitwise-original;
     tail rows with at least one usable window are replaced by the inferred
-    vector; tail rows with none keep the pretrained row (still original)."""
+    vector; tail rows with none keep the pretrained row (still original).
+
+    Every tail item's windows are picked first, in item order, with the cap
+    subsample drawn from ``rng`` as ``infer_one`` draws it; then all picks are
+    encoded in batches and aggregated per item. ``cache`` keeps the window
+    vectors for later calls that pass the same windows per item, as every
+    value of a sweep does.
+    """
     by_item = {cs.item: cs for cs in tail_context_sets}
-    out = []
     head = set(partition.head_set)
+    picks = []
     for item in range(model.config.n_items):
-        if item in head:
-            out.append(InferredEmbedding(item, model.table.weights.values[item].copy(), "original"))
+        if item in head or item not in by_item:
             continue
-        cs = by_item.get(item)
-        wins = [w for w in cs.windows if _usable(fn, w)] if cs else []
-        if not wins:
-            out.append(InferredEmbedding(item, model.table.weights.values[item].copy(), "original"))
-            continue
-        vec = infer_one(fn, model, wins, rng=rng, context_batch_cap=context_batch_cap)
-        out.append(InferredEmbedding(item, vec, "inferred"))
-    return out
+        wins, pick = _pick(fn, by_item[item].windows, rng, context_batch_cap)
+        if wins:
+            picks.append((item, wins, pick))
+    kept = {} if cache is None else cache
+    inferred = dict(zip([p[0] for p in picks], _infer_picks(fn, model, picks, kept)))
+    return [InferredEmbedding(item, inferred[item], "inferred") if item in inferred
+            else InferredEmbedding(item, model.table.weights.values[item].copy(), "original")
+            for item in range(model.config.n_items)]
 
 
 def apply_embeddings(model: Model, inferred: list[InferredEmbedding]) -> Model:
@@ -561,47 +580,47 @@ def apply_embeddings(model: Model, inferred: list[InferredEmbedding]) -> Model:
     return out
 
 
-def infer_new_item(
+def infer_new_items(
     fn: InferenceFunction,
     model: Model,
-    windows,
-    rng: np.random.Generator | None = None,
+    window_lists,
+    seed=0,
     context_batch_cap: int = 64,
 ):
-    """Zero-gradient embedding for an item the base model never saw.
+    """Zero-gradient embeddings for items the base model never saw, one per
+    window list, their windows encoded together.
 
-    Windows may reference only known real items. Returns (entry, extended
-    model): the new item takes the next dense index, its bias starts at 0,
-    and the pad/[mask] rows shift up one slot. The input model is untouched.
+    Windows may reference only known real items. Each list draws its cap
+    subsample from a fresh ``default_rng(seed)``, so an item's vector does
+    not depend on the other lists. Returns (entries, extended model): the
+    new items take the next dense indices in list order, their biases start
+    at 0, and the pad/[mask] rows shift up past them. The input model is
+    untouched.
     """
-    if isinstance(windows, ContextWindow):
-        windows = [windows]
-    if not windows:
-        raise DataError("no context windows for the new item")
     n = model.config.n_items
-    for w in windows:
-        for idx in list(w.left) + list(w.right):
-            if not 0 <= idx < n:
-                raise DataError(f"context window references unknown item index {idx}")
-    vec = infer_one(fn, model, windows, rng=rng, context_batch_cap=context_batch_cap)
+    picks = []
+    for k, windows in enumerate(window_lists):
+        if not windows:
+            raise DataError("no context windows for the new item")
+        for w in windows:
+            for idx in list(w.left) + list(w.right):
+                if not 0 <= idx < n:
+                    raise DataError(f"context window references unknown item index {idx}")
+        wins, pick = _pick(fn, windows, np.random.default_rng(seed), context_batch_cap)
+        if not wins:
+            raise DataError("no usable context windows")
+        picks.append((k, wins, pick))
+    vectors = _infer_picks(fn, model, picks, {})
 
+    m = len(vectors)
     extended = clone_model(model)
-    extended.config = replace(model.config, n_items=n + 1)
+    extended.config = replace(model.config, n_items=n + m)
     table = extended.table
-    w = table.weights.values  # the new row goes before the pad and [mask] rows
-    table.weights.values = np.concatenate([w[:n], vec[None, :], w[n:]])
-    table.item_bias.values = np.append(table.item_bias.values, 0.0)
-    table.pad_index, table.mask_index = n + 1, n + 2
-    return InferredEmbedding(n, vec, "inferred"), extended
-
-
-def nearest_head_distance(weights: np.ndarray, partition) -> float:
-    """Mean Euclidean distance from each tail row to its closest head row."""
-    head = weights[np.asarray(partition.head_set)]
-    tail = weights[np.asarray(partition.tail_set)]
-    # (T, H) pairwise distances; corpora here are small enough to do it flat
-    d2 = np.sum(tail**2, axis=1)[:, None] - 2 * tail @ head.T + np.sum(head**2, axis=1)[None, :]
-    return float(np.mean(np.sqrt(np.maximum(d2, 0.0)).min(axis=1)))
+    w = table.weights.values  # the new rows go before the pad and [mask] rows
+    table.weights.values = np.concatenate([w[:n], np.reshape(vectors, (m, model.config.d)), w[n:]])
+    table.item_bias.values = np.append(table.item_bias.values, np.zeros(m))
+    table.pad_index, table.mask_index = n + m, n + m + 1
+    return [InferredEmbedding(n + k, vec, "inferred") for k, vec in enumerate(vectors)], extended
 
 
 def save_inference_function(

@@ -23,6 +23,7 @@ from conftest import (
     context_sets_for,
     phase2_config,
 )
+from repair_metrics import nearest_head_distance, reproduction_stats
 from tailrec.cli import _window_from_ids, main as cli_main
 from tailrec.data import (
     Interaction,
@@ -46,10 +47,8 @@ from tailrec.repair import (
     aggregate,
     apply_embeddings,
     infer_embeddings,
-    infer_new_item,
+    infer_new_items,
     init_inference_function,
-    nearest_head_distance,
-    reproduction_stats,
     train_inference_function,
 )
 from tailrec.synthetic import synthetic_interactions, write_log_csv
@@ -451,18 +450,16 @@ def test_withheld_new_items_beat_random_floor(acceptance_corpus, gru_base,
     fn = gru_repair["fn"]
     neg_rng = np.random.default_rng([EVAL_SEED, 5])
 
-    current = gru_base["model"]
+    windows = [[_window_from_ids(w, catalog.index_of) for w in entry["windows"]]
+               for entry in payload["items"]]
+    entries, extended = infer_new_items(fn, gru_base["model"], windows, seed=[EVAL_SEED, 9])
+    ranker = ModelRanker(extended)
     ranks = []
-    for entry in payload["items"]:
-        windows = [_window_from_ids(w, catalog.index_of) for w in entry["windows"]]
-        new_index = current.config.n_items
-        _, current = infer_new_item(fn, current, windows,
-                                    rng=np.random.default_rng([EVAL_SEED, 9]))
-        ranker = ModelRanker(current)
+    for entry, emb in zip(payload["items"], entries):
         for case in entry["test_cases"]:
             hist = np.array([catalog.index_of[s] for s in case["history"]])
             negatives = sample_negatives(hist, catalog, 100, neg_rng)
-            cands = np.concatenate([[new_index], negatives])[None, :]
+            cands = np.concatenate([[emb.item], negatives])[None, :]
             scores = ranker.score_batch([hist[-MAX_LEN:]], cands)
             ranks.append(rank_of_truth(scores[0], cands[0]))
 

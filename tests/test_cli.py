@@ -270,6 +270,42 @@ def test_corrupted_artifact_exits_3_with_one_line(workspace, tmp_path, capsys,
     assert err.startswith("data error: ") and "\n" not in err
 
 
+def _with(text, value, *keys):
+    doc = json.loads(text)
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return json.dumps(doc)
+
+
+STORE_CORRUPTIONS = {
+    "no-users": lambda t: _without(t, "users"),
+    "no-sequences": lambda t: _without(t, "sequences"),
+    "no-dataset-hash": lambda t: _without(t, "dataset_hash"),
+    "fewer-sequences-than-users": lambda t: _with(t, json.loads(t)["sequences"][1:],
+                                                  "sequences"),
+    "item-ids-not-a-list": lambda t: _with(t, "i00", "item_ids"),
+    "duplicate-item-id": lambda t: _with(t, json.loads(t)["item_ids"][0], "item_ids", 1),
+    "sequence-not-a-list": lambda t: _with(t, "0 1 2", "sequences", 0),
+    "index-too-large": lambda t: _with(t, 10**6, "sequences", 0, 0),
+    "negative-index": lambda t: _with(t, -1, "sequences", 0, 0),
+    "fractional-index": lambda t: _with(t, 1.5, "sequences", 0, 0),
+    "nested-index": lambda t: _with(t, [1, 2], "sequences", 0, 0),
+}
+
+
+@pytest.mark.parametrize("corrupt", STORE_CORRUPTIONS.values(), ids=STORE_CORRUPTIONS.keys())
+def test_corrupted_store_exits_3_with_one_line(workspace, tmp_path, capsys, corrupt):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "store.json").write_text(corrupt((workspace["out"] / "store.json").read_text()))
+    capsys.readouterr()
+    assert run("--config", workspace["config"], "--out", out, "baseline", "--name", "pop") == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "\n" not in err
+
+
 # --------------------------------------------------------- apply-eval
 
 
@@ -379,6 +415,37 @@ def test_new_item_unknown_id_exits_3(workspace, tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert run("--config", workspace["config"], "new-item", "--contexts", bad) == 3
     assert "unknown item id" in capsys.readouterr().err
+
+
+PAYLOAD_CORRUPTIONS = {
+    "no-items": lambda t: _without(t, "items"),
+    "items-not-a-list": lambda t: _with(t, {}, "items"),
+    "entry-not-an-object": lambda t: _with(t, "ix", "items", 0),
+    "no-item": lambda t: _without(t, "items", 0, "item"),
+    "item-not-a-string": lambda t: _with(t, 7, "items", 0, "item"),
+    "no-windows": lambda t: _without(t, "items", 0, "windows"),
+    "windows-not-a-list": lambda t: _with(t, "w", "items", 0, "windows"),
+    "window-not-an-object": lambda t: _with(t, ["i00"], "items", 0, "windows", 0),
+    "window-side-not-a-list": lambda t: _with(t, "i00", "items", 0, "windows", 0, "left"),
+    "no-test-cases": lambda t: _without(t, "items", 0, "test_cases"),
+    "test-case-not-an-object": lambda t: _with(t, ["i00"], "items", 0, "test_cases", 0),
+    "no-history": lambda t: _without(t, "items", 0, "test_cases", 0, "history"),
+    "history-not-a-list": lambda t: _with(t, "i00", "items", 0, "test_cases", 0, "history"),
+    "history-id-not-a-string": lambda t: _with(t, [3], "items", 0, "test_cases", 0, "history"),
+    "empty-history": lambda t: _with(t, [], "items", 0, "test_cases", 0, "history"),
+}
+
+
+@pytest.mark.parametrize("corrupt", PAYLOAD_CORRUPTIONS.values(),
+                         ids=PAYLOAD_CORRUPTIONS.keys())
+def test_malformed_new_item_payload_exits_3_with_one_line(workspace, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.json"
+    with open(workspace["contexts"], encoding="utf-8") as fh:
+        bad.write_text(corrupt(fh.read()))
+    capsys.readouterr()
+    assert run("--config", workspace["config"], "new-item", "--contexts", bad) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "\n" not in err
 
 
 def test_new_item_without_contexts_exits_2(workspace):

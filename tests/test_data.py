@@ -327,6 +327,36 @@ def test_not_enough_eligible_items():
         sample_negatives(np.array([0]), cat, 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("user,source", [
+    ([3, 7, 7, 11], "full"),
+    ([], "full"),
+    ([0, 39], "full"),
+    ([5], "test"),
+])
+def test_negative_draws_match_the_setdiff_form(user, source):
+    # the keep-mask must give the eligible array np.setdiff1d gave, so the
+    # same rng draws the same negatives
+    full = np.arange(1, 41)
+    test = np.where(np.arange(40) % 3 == 0, 2, 0)
+    cat = make_catalog(full, test_pop=test)
+    user = np.asarray(user, dtype=np.int64)
+    got = sample_negatives(user, cat, 20, np.random.default_rng(8), source=source)
+    eligible = np.setdiff1d(np.arange(cat.n_items), user)
+    w = (full if source == "full" else test)[eligible].astype(np.float64)
+    if np.count_nonzero(w) < 20:
+        w = w + 1.0
+    want = np.random.default_rng(8).choice(eligible, size=20, replace=False, p=w / w.sum(),
+                                           shuffle=False)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [[40], [-1], [2, 10**6]])
+def test_negatives_reject_out_of_catalog_user_items(bad):
+    cat = make_catalog(np.arange(1, 41))
+    with pytest.raises(DataError, match="outside the catalog"):
+        sample_negatives(np.array(bad), cat, 3, np.random.default_rng(0))
+
+
 def test_popularity_proportional_monte_carlo():
     # items 1 and 2 eligible with full-log popularity 3:1
     cat = make_catalog([10, 3, 1])

@@ -4,6 +4,7 @@ row injection, and new-item inference."""
 import numpy as np
 import pytest
 
+import tailrec.repair as repair
 import tailrec.tensor as T
 from tailrec.data import ContextSet, ContextWindow, PopularityPartition
 from tailrec.errors import ConfigError, DataError, TrainingError
@@ -27,20 +28,20 @@ from tailrec.repair import (
     apply_embeddings,
     derive_window_sizes,
     infer_embeddings,
-    infer_new_item,
+    infer_new_items,
     infer_one,
     inference_fingerprint,
     init_inference_function,
     interpret_context,
     load_inference_function,
     named_inference_parameters,
-    nearest_head_distance,
-    reproduction_stats,
     save_inference_function,
     train_inference_function,
     trainable_inference_parameters,
     _frozen_context_reader,
 )
+
+from repair_metrics import nearest_head_distance, reproduction_stats
 
 D = 8
 ML = 10
@@ -452,6 +453,92 @@ def test_infer_embeddings_caps_window_count():
     assert np.all(np.isfinite(entries[11].vector))
 
 
+def mixed_tail_sets():
+    """Tail items with one window (11), four (12), twelve (13, capped in the
+    tests below) and none (14)."""
+    rng = np.random.default_rng(5)
+
+    def some(k):
+        return tuple(win(list(rng.integers(0, N_ITEMS, size=3)),
+                         list(rng.integers(0, N_ITEMS, size=2))) for _ in range(k))
+    return [ContextSet(item=11, windows=some(1)), ContextSet(item=12, windows=some(4)),
+            ContextSet(item=13, windows=some(12)), ContextSet(item=14, windows=())]
+
+
+def spy_interpret(monkeypatch):
+    sizes = []
+
+    def spy(fn, model, windows, *args, **kwargs):
+        sizes.append(len(windows))
+        return interpret_context(fn, model, windows, *args, **kwargs)
+    monkeypatch.setattr(repair, "interpret_context", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("chunk", [1024, 4, 2])
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_batched_inference_is_bitwise_the_per_item_loop(monkeypatch, variant, chunk):
+    # picks of 4 and 5 windows give 9 to batch: with a chunk of 2 or 4 the
+    # last chunk would hold one window, which must be folded into the one
+    # before it; the one-window item is still encoded alone
+    model = tiny_model(variant, seed=3)
+    fn = default_fn(model)
+    part = head_tail_partition(head=range(10), tail=range(10, N_ITEMS))
+    sets = mixed_tail_sets()
+    for seed in (21, None):
+        rng = None if seed is None else np.random.default_rng(seed)
+        want = {cs.item: infer_one(fn, model, cs.windows, rng=rng, context_batch_cap=5)
+                for cs in sets if cs.windows}
+        after_loop = None if rng is None else rng.random()
+
+        monkeypatch.setattr(repair, "_ENCODE_CHUNK", chunk)
+        sizes = spy_interpret(monkeypatch)
+        rng = None if seed is None else np.random.default_rng(seed)
+        entries = infer_embeddings(fn, model, sets, part, rng=rng, context_batch_cap=5)
+        monkeypatch.undo()
+
+        sizes.sort()
+        assert sizes[0] == 1 and sizes[1] >= 2  # only the one-window pick runs alone
+        assert sum(sizes) == 1 + 4 + 5 and sizes[-1] <= chunk + 1
+        if rng is not None:
+            assert rng.random() == after_loop  # the same draws, in the same order
+        for e in entries:
+            if e.item in want:
+                assert e.provenance == "inferred"
+                assert np.array_equal(e.vector, want[e.item]), (seed, e.item)
+            else:
+                assert e.provenance == "original"
+                assert np.array_equal(e.vector, model.table.weights.values[e.item])
+
+
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_shared_window_cache_gives_the_entries_of_fresh_calls(monkeypatch, variant):
+    # a sweep keeps one cache across its values: caps change the picks and
+    # tau changes which items are tail, but a kept vector is always the one
+    # a fresh call would encode
+    model = tiny_model(variant, seed=4)
+    fn = default_fn(model)
+    sets = mixed_tail_sets()
+    wide = head_tail_partition(head=range(10), tail=range(10, N_ITEMS))
+    narrow = head_tail_partition(head=range(12), tail=range(12, N_ITEMS))
+    cache = {}
+    for part in (wide, narrow):
+        for cap in (3, 64):
+            shared = infer_embeddings(fn, model, sets, part, rng=np.random.default_rng(6),
+                                      context_batch_cap=cap, cache=cache)
+            fresh = infer_embeddings(fn, model, sets, part, rng=np.random.default_rng(6),
+                                     context_batch_cap=cap)
+            for a, b in zip(shared, fresh, strict=True):
+                assert a.provenance == b.provenance
+                assert np.array_equal(a.vector, b.vector), (part.head_set.size, cap, a.item)
+    assert {k[0] for k in cache} == {11, 12, 13}
+    # everything is kept now: a repeated call encodes nothing
+    sizes = spy_interpret(monkeypatch)
+    infer_embeddings(fn, model, sets, wide, rng=np.random.default_rng(6), context_batch_cap=3,
+                     cache=cache)
+    assert sizes == []
+
+
 def test_apply_embeddings_empty_list_is_identity():
     model = tiny_model("transformer")
     out = apply_embeddings(model, [])
@@ -497,7 +584,7 @@ def test_new_item_row_appended_without_touching_base():
     model = tiny_model("transformer", seed=6)
     before = params_fingerprint(named_parameters(model))
     fn = default_fn(model)
-    entry, extended = infer_new_item(fn, model, [win([1, 2], [3, 4])])
+    (entry,), extended = infer_new_items(fn, model, [[win([1, 2], [3, 4])]])
 
     assert params_fingerprint(named_parameters(model)) == before
     assert entry.item == N_ITEMS
@@ -518,7 +605,7 @@ def test_new_item_row_appended_without_touching_base():
 def test_new_item_scores_immediately():
     model = tiny_model("gru", seed=9)
     fn = default_fn(model)
-    _, extended = infer_new_item(fn, model, [win([5, 6, 7])])
+    _, extended = infer_new_items(fn, model, [[win([5, 6, 7])]])
     hist = pad_batch([[0, 1, 2]], ML, extended.table.pad_index)
     m, _ = encode(extended, hist)
     s = score(m, extended.table).values
@@ -530,9 +617,9 @@ def test_new_item_input_validation():
     model = tiny_model("transformer")
     fn = default_fn(model)
     with pytest.raises(DataError):
-        infer_new_item(fn, model, [])
+        infer_new_items(fn, model, [[]])
     with pytest.raises(DataError):
-        infer_new_item(fn, model, [win([N_ITEMS], [2])])  # pad index leaked in
+        infer_new_items(fn, model, [[win([N_ITEMS], [2])]])  # pad index leaked in
 
 
 def test_nearest_head_distance_hand_fixture():
