@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -275,23 +275,46 @@ def _dataset_hash(path: str, format: str, min_actions: int) -> str:
     return h.hexdigest()
 
 
+def _lock_owner_is_dead(path: str) -> bool:
+    """True when the lock file names a pid that no longer runs. An unreadable
+    or half-written lock counts as held: its owner may be writing it now."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            pid = int(fh.read())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass
+    return False
+
+
 @contextmanager
 def _lock(outdir: str):
-    """One command at a time per output directory."""
+    """One command at a time per output directory. A lock left behind by a
+    process that has died is taken over."""
     path = os.path.join(outdir, ".lock")
+    held = ConfigError(f"output directory is locked by another run (remove {path} if stale)")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(path, flags)
     except FileExistsError:
-        raise ConfigError(f"output directory is locked by another run (remove {path} if stale)")
+        if not _lock_owner_is_dead(path):
+            raise held
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        try:
+            fd = os.open(path, flags)
+        except FileExistsError:
+            raise held
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
         yield
     finally:
-        try:
+        with suppress(FileNotFoundError):
             os.unlink(path)
-        except FileNotFoundError:
-            pass
 
 
 def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str) -> str:

@@ -31,22 +31,33 @@ __all__ = [
 ]
 
 
+def _ranks(scores: np.ndarray, candidates: np.ndarray, truth_column: int) -> np.ndarray:
+    """(B,) 1-based ranks of one column of each (B, C) row: 1 + the
+    candidates that score strictly higher + those tied at a lower item index
+    (+ the same item tied at an earlier column). That is the truth's position
+    in a stable descending-score, ascending-index sort of finite scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ts = scores[:, truth_column, None]
+    tc = candidates[:, truth_column, None]
+    earlier = np.arange(scores.shape[1]) < truth_column
+    ahead = (scores > ts) | ((scores == ts) & ((candidates < tc) | ((candidates == tc) & earlier)))
+    return ahead.sum(axis=1) + 1
+
+
 def rank_of_truth(scores: np.ndarray, candidates: np.ndarray, truth_column: int = 0) -> int:
     """1-based rank of the truth candidate under descending score, ties by
     ascending item index."""
-    order = np.lexsort((candidates, -np.asarray(scores, dtype=np.float64)))
-    return int(np.nonzero(order == truth_column)[0][0]) + 1
+    return int(_ranks(np.asarray(scores)[None], np.asarray(candidates)[None], truth_column)[0])
 
 
 def rank_cases(ranker, histories: list, candidates: np.ndarray, batch_size: int) -> np.ndarray:
-    """1-based rank of column 0 of every candidate row, scoring
+    """1-based rank of column 0 of every candidate row, scoring and ranking
     ``batch_size`` cases per ``ranker.score_batch`` call."""
     ranks = np.empty(len(histories), dtype=np.int64)
     for lo in range(0, len(histories), batch_size):
         hi = min(lo + batch_size, len(histories))
         scores = ranker.score_batch(histories[lo:hi], candidates[lo:hi])
-        for u in range(lo, hi):
-            ranks[u] = rank_of_truth(scores[u - lo], candidates[u])
+        ranks[lo:hi] = _ranks(scores, candidates[lo:hi], 0)
     return ranks
 
 

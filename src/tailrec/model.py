@@ -12,7 +12,9 @@ training never scores that column. To rank, ``ranking_states`` keeps the last
 ``max_len - 1`` history items, places a [mask] directly after them inside the
 window, and reads the user state at column ``max_len - 1`` -- the input cloze
 training scores whenever it masks the last position. The GRU reads its final
-hidden state over the last ``max_len`` items and never sees the [mask] token.
+hidden state over the last ``max_len`` items and never sees the [mask] token;
+its whole recurrence is the one fused tape op ``tensor.gru_sequence``, so a
+GRU training step records the same few ops whatever ``max_len`` is.
 
 Parameters live in nested dataclasses. ``named_parameters`` walks their
 fields in declaration order and is the only list of parameter names: the
@@ -159,7 +161,7 @@ class EncoderParams:
 
 @dataclass
 class EncoderActivations:
-    hidden: list  # H^0 .. H^N (transformer) or per-step states (gru)
+    hidden: list  # H^0 .. H^N (transformer) or [final state] (gru)
 
 
 @dataclass
@@ -371,26 +373,16 @@ def encode_transformer(
 
 
 def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray):
-    """Left-to-right gated recurrence from a zero state; pad steps are skipped
-    by gating the state update, so left padding cannot change the outcome.
-    Returns (final state (B, d), per-step states)."""
+    """Left-to-right gated recurrence from a zero state, as one
+    ``tensor.gru_sequence`` op; pad steps are skipped by gating the state
+    update, so left padding cannot change the outcome. Returns (final state
+    (B, d), activations holding only that state): the op keeps per-step
+    states for its own backward pass and exposes none of them."""
     if encoder.variant != "gru":
         raise ConfigError(f"encode_gru got variant {encoder.variant!r}")
     g = encoder.gru
-    b, l, d = e.shape
-    h = Tensor(np.zeros((b, d)))
-    steps = []
-    et = T.transpose(e, (1, 0, 2))
-    for t in range(l):
-        x = T.reshape(T.take_rows(et, np.array([t])), (b, d))
-        z = T.sigmoid(T.add(T.add(T.matmul(x, g.wz), T.matmul(h, g.uz)), g.bz))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, g.wr), T.matmul(h, g.ur)), g.br))
-        c = T.tanh_(T.add(T.add(T.matmul(x, g.wc), T.matmul(T.mul(r, h), g.uc)), g.bc))
-        hn = T.add(h, T.mul(z, T.sub(c, h)))
-        gate = real[:, t].astype(np.float64)[:, None]
-        h = T.add(h, T.mul(gate, T.sub(hn, h)))
-        steps.append(h)
-    return h, EncoderActivations(hidden=steps)
+    h = T.gru_sequence(e, real, g.wz, g.uz, g.bz, g.wr, g.ur, g.br, g.wc, g.uc, g.bc)
+    return h, EncoderActivations(hidden=[h])
 
 
 def encode(

@@ -576,6 +576,8 @@ def apply_embeddings(model: Model, inferred: list[InferredEmbedding]) -> Model:
             )
         if not 0 <= entry.item < model.config.n_items:
             raise DataError(f"inferred item index {entry.item} outside catalog")
+        if not np.isfinite(vec).all():
+            raise DataError(f"inferred vector for item {entry.item} is not finite")
         out.table.weights.values[entry.item] = vec
     return out
 

@@ -9,6 +9,11 @@ active tape run plain numpy, which is the inference path.
 
 Plain numbers and ndarrays are accepted wherever a tensor is expected; they
 act as constants and never receive gradients.
+
+Most ops are single numpy expressions. ``gru_sequence`` is fused: it runs a
+whole GRU recurrence in one call and records one closure that
+backpropagates through time by hand, instead of about 26 records per step.
+Its forward values are bitwise those of the composed single-step ops.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "gelu",
     "tanh_",
     "sigmoid",
+    "gru_sequence",
     "layer_norm",
     "dropout",
     "reset_grads",
@@ -405,15 +411,92 @@ def tanh_(a) -> Tensor:
     return out
 
 
+def _sigmoid_values(av: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails; shared by ``sigmoid`` and
+    ``gru_sequence`` so their forward values agree bit for bit."""
+    e = np.exp(-np.abs(av))
+    return np.where(av >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
-    av = _val(a)
-    # stable in both tails
-    s = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))), np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+    s = _sigmoid_values(_val(a))
     out = Tensor(s)
 
     def _bw():
         if out.grad is not None:
             _accum(a, out.grad * s * (1.0 - s))
+
+    _record(_bw)
+    return out
+
+
+def gru_sequence(x, gate, wz, uz, bz, wr, ur, br, wc, uc, bc) -> Tensor:
+    """Whole left-to-right GRU recurrence over x (B, L, d) from a zero state.
+
+    Step t computes z = sigmoid((x_t Wz + h Uz) + bz), r likewise with the
+    ``*r`` weights, c = tanh((x_t Wc + (r h) Uc) + bc) and hn = h + z (c - h),
+    then moves the state to h + g_t (hn - h), where ``gate`` (B, L) is 1 on
+    real steps and 0 on pad steps. Returns the final state (B, d) with values
+    bitwise equal to composing the single-step ops above in that order.
+
+    The loop runs in plain numpy. Leading steps that are padding in every
+    row leave the zero state exactly as it is, so they are skipped. Under an
+    active tape the op keeps the per-step h, z, r and c and records one
+    closure that backpropagates through time; the weight and bias gradients
+    are summed once over all steps, and the input gradient is one product per
+    gate. Without a tape nothing per-step is kept.
+    """
+    xv = _val(x)
+    b, l, d = xv.shape
+    gv = np.asarray(gate, dtype=np.float64)
+    wzv, uzv, bzv, wrv, urv, brv, wcv, ucv, bcv = (
+        _val(p) for p in (wz, uz, bz, wr, ur, br, wc, uc, bc))
+    live = np.flatnonzero(gv.any(axis=0))
+    start = int(live[0]) if live.size else l
+    xs = np.ascontiguousarray(xv.transpose(1, 0, 2)[start:])  # (steps, B, d)
+    taped = _active() is not None
+    steps = []  # (state before the step, z, r, c), kept under a tape only
+    h = np.zeros((b, d))
+    for t in range(start, l):
+        xt = xs[t - start]
+        z = _sigmoid_values(xt @ wzv + h @ uzv + bzv)
+        r = _sigmoid_values(xt @ wrv + h @ urv + brv)
+        c = np.tanh(xt @ wcv + (r * h) @ ucv + bcv)
+        if taped:
+            steps.append((h, z, r, c))
+        hn = h + z * (c - h)
+        h = h + gv[:, t, None] * (hn - h)
+    out = Tensor(h)
+    if not taped:
+        return out
+
+    def _bw():
+        dh = out.grad
+        n = l - start
+        if dh is None or n == 0:
+            return
+        daz, dar, dac = (np.empty((n, b, d)) for _ in range(3))
+        for k in range(n - 1, -1, -1):
+            hp, z, r, c = steps[k]
+            dhn = gv[:, start + k, None] * dh
+            ac = dhn * z * (1.0 - c * c)
+            az = dhn * (c - hp) * z * (1.0 - z)
+            drh = ac @ ucv.T
+            ar = drh * hp * r * (1.0 - r)
+            dh = dh - dhn * z + drh * r + az @ uzv.T + ar @ urv.T
+            daz[k], dar[k], dac[k] = az, ar, ac
+        flat = lambda a: a.reshape(n * b, d)
+        xf, hf = flat(xs), flat(np.stack([s[0] for s in steps]))
+        rhf = flat(np.stack([s[2] for s in steps])) * hf
+        gz, gr, gc = flat(daz), flat(dar), flat(dac)
+        for p, g in ((wz, xf.T @ gz), (uz, hf.T @ gz), (bz, gz.sum(axis=0)),
+                     (wr, xf.T @ gr), (ur, hf.T @ gr), (br, gr.sum(axis=0)),
+                     (wc, xf.T @ gc), (uc, rhf.T @ gc), (bc, gc.sum(axis=0))):
+            _accum(p, g)
+        if isinstance(x, Tensor):
+            dx = np.zeros((l, b, d))
+            dx[start:] = (gz @ wzv.T + gr @ wrv.T + gc @ wcv.T).reshape(n, b, d)
+            _accum(x, dx.transpose(1, 0, 2))
 
     _record(_bw)
     return out

@@ -130,8 +130,8 @@ def test_gradient_suite_every_layer_matches_finite_differences():
         return T.sum_(T.mul(h, w_state))
 
     _check_layer("gru-cell", [
-        ("wz", g.wz), ("uz", g.uz), ("wr", g.wr), ("uc", g.uc), ("bc", g.bc),
-        ("input", e_in),
+        ("wz", g.wz), ("uz", g.uz), ("bz", g.bz), ("wr", g.wr), ("ur", g.ur), ("br", g.br),
+        ("wc", g.wc), ("uc", g.uc), ("bc", g.bc), ("input", e_in),
     ], fwd_gru, failures)
 
     blk = tr.encoder.blocks[0]

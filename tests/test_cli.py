@@ -7,6 +7,8 @@ byte-level reproducibility of the artifacts.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,8 +118,9 @@ def test_missing_artifacts_exit_3(tmp_path):
 
 
 def test_lock_blocks_second_run(workspace, capsys):
+    # the lock names a live process: this one
     lock = workspace["out"] / ".lock"
-    lock.write_text("123\n")
+    lock.write_text(f"{os.getpid()}\n")
     try:
         assert run("--config", workspace["config"], "export-embeddings") == 2
         assert "locked" in capsys.readouterr().err
@@ -125,6 +128,26 @@ def test_lock_blocks_second_run(workspace, capsys):
         lock.unlink()
     # and the failed run must not have eaten the pre-existing lock
     assert not lock.exists()
+
+
+@pytest.mark.parametrize("content", ["", "not a pid\n", "0\n", "-1\n"])
+def test_unreadable_lock_counts_as_held(workspace, content):
+    lock = workspace["out"] / ".lock"
+    lock.write_text(content)
+    try:
+        assert run("--config", workspace["config"], "export-embeddings") == 2
+        assert lock.read_text() == content
+    finally:
+        lock.unlink()
+
+
+def test_lock_of_a_dead_process_is_taken_over(workspace, tmp_path):
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait()
+    (tmp_path / ".lock").write_text(f"{finished.pid}\n")
+    assert run("--config", workspace["config"], "--out", tmp_path, "ingest") == 0
+    assert (tmp_path / "store.json").exists()
+    assert not (tmp_path / ".lock").exists()
 
 
 # ------------------------------------------------------------ ingest
@@ -250,6 +273,18 @@ def _with_nan(text):
     return json.dumps(doc)
 
 
+def _with_overflowing_output(text):
+    # finite weights whose product overflows: the last block emits all ones,
+    # so every pooled window sums 1e308 per input dimension into each output
+    doc = json.loads(text)
+    params = doc["params"]
+    last = max(int(k.split(".")[2]) for k in params if k.startswith("agg.blocks."))
+    params[f"agg.blocks.{last}.ln2_gain"] = [0.0] * len(params[f"agg.blocks.{last}.ln2_gain"])
+    params[f"agg.blocks.{last}.ln2_bias"] = [1.0] * len(params[f"agg.blocks.{last}.ln2_bias"])
+    params["agg.out_w"] = [[1e308] * len(row) for row in params["agg.out_w"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command,flag,source,corrupt", [
     ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: t[: len(t) // 2]),
     ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: _without(t, "config")),
@@ -257,9 +292,10 @@ def _with_nan(text):
     ("apply-eval", "--checkpoint", "cities_gru.json", lambda t: t),
     ("export-embeddings", "--checkpoint", "cities_gru.json", lambda t: t),
     ("apply-eval", "--cities", "cities_gru.json", _with_nan),
+    ("apply-eval", "--cities", "cities_gru.json", _with_overflowing_output),
 ], ids=["truncated-checkpoint", "checkpoint-without-config", "function-without-omega1",
         "function-as-checkpoint-apply-eval", "function-as-checkpoint-export",
-        "function-with-nan-weight"])
+        "function-with-nan-weight", "function-inferring-infinite-rows"])
 def test_corrupted_artifact_exits_3_with_one_line(workspace, tmp_path, capsys,
                                                   command, flag, source, corrupt):
     bad = tmp_path / source

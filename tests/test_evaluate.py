@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrec.data import (
     LeaveOneOutSplit,
@@ -18,6 +20,7 @@ from tailrec.evaluate import (
     SPopRanker,
     _group_metrics,
     evaluate,
+    rank_cases,
     make_baseline,
     rank_of_truth,
     transition_counts,
@@ -75,6 +78,41 @@ def test_rank_matches_brute_force_on_random_lists():
         c = rng.choice(500, size=21, replace=False)
         s = np.round(rng.standard_normal(21), 1)  # rounding forces real ties
         assert rank_of_truth(s, c) == brute_force_rank(s, c)
+
+
+def lexsort_rank(scores, candidates, truth_column=0):
+    """Reference: position of the truth in one stable lexsort per row."""
+    order = np.lexsort((candidates, -np.asarray(scores, dtype=np.float64)))
+    return int(np.nonzero(order == truth_column)[0][0]) + 1
+
+
+class FixedScores:
+    """A ranker that returns rows of a fixed score matrix, in call order."""
+
+    def __init__(self, scores):
+        self.scores, self.at = scores, 0
+
+    def score_batch(self, histories, candidates):
+        out = self.scores[self.at : self.at + len(histories)]
+        self.at += len(histories)
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 12), st.integers(1, 5), st.integers(1, 6),
+    st.integers(0, 2**31 - 1),
+)
+def test_batched_ranks_equal_lexsort_ranks(rows, cols, levels, batch_size, seed):
+    # few score levels force ties and few item ids force duplicate candidates
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(rows, cols)) / 2.0
+    candidates = rng.integers(0, max(2, cols // 2), size=(rows, cols))
+    ranks = rank_cases(FixedScores(scores), [None] * rows, candidates, batch_size)
+    assert ranks.tolist() == [lexsort_rank(s, c) for s, c in zip(scores, candidates)]
+    truth_column = int(rng.integers(cols))
+    assert [rank_of_truth(s, c, truth_column) for s, c in zip(scores, candidates)] == [
+        lexsort_rank(s, c, truth_column) for s, c in zip(scores, candidates)]
 
 
 def test_tie_break_prefers_lower_index():

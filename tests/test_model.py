@@ -22,6 +22,7 @@ from tailrec.model import (
     score,
     score_candidates,
 )
+from tailrec.pretrain import _next_item_loss
 from tailrec.tensor import Tape, Tensor
 
 
@@ -163,6 +164,18 @@ def test_single_step_gru_matches_hand_arithmetic():
 
     out, _ = encode(m, pad_batch([[1]], 2, m.table.pad_index))
     np.testing.assert_allclose(out.values[0, 0], expected, atol=1e-12)
+
+
+def test_next_item_tape_does_not_grow_with_max_len():
+    # the GRU recurrence is one tape record however many steps it runs
+    records = []
+    for max_len in (4, 16):
+        m = tiny("gru", max_len=max_len)
+        batch = pad_batch([[1, 2, 3], [4, 5, 6, 7, 8, 1, 2]], max_len, m.table.pad_index)
+        with Tape() as tape:
+            _next_item_loss(m, batch, np.array([4, 3]), np.random.default_rng(0))
+        records.append(len(tape))
+    assert records[0] == records[1]
 
 
 def test_gru_prefix_padding_is_identity():

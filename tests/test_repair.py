@@ -580,6 +580,18 @@ def test_apply_embeddings_rejects_bad_rows():
         apply_embeddings(model, [InferredEmbedding(N_ITEMS, np.ones(D), "inferred")])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_embeddings_rejects_non_finite_rows(bad):
+    model = tiny_model("gru", seed=8)
+    before = model.table.weights.values.copy()
+    vec = np.full(D, 0.25)
+    vec[3] = bad
+    with pytest.raises(DataError, match="not finite"):
+        apply_embeddings(model, [InferredEmbedding(5, np.ones(D), "inferred"),
+                                 InferredEmbedding(14, vec, "inferred")])
+    assert np.array_equal(model.table.weights.values, before)
+
+
 def test_new_item_row_appended_without_touching_base():
     model = tiny_model("transformer", seed=6)
     before = params_fingerprint(named_parameters(model))

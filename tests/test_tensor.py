@@ -1,5 +1,7 @@
 """Gradient checks for every differentiable op against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,85 @@ def test_sigmoid_saturation():
     out = T.sigmoid(Tensor(np.array([-800.0, 800.0])))
     assert np.all(np.isfinite(out.values))
     np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-12)
+
+
+# ------------------------------------------------------------ fused GRU recurrence
+
+GRU_SHAPES = lambda b, l, d: [(b, l, d)] + [(d, d), (d, d), (d,)] * 3
+# row 0 skips a step in the middle; column 0 is padding in every row
+GRU_GATE = np.array([[0, 1, 1, 0, 1, 1], [0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1]], dtype=bool)
+
+
+def gru_reference(x, gate, wz, uz, bz, wr, ur, br, wc, uc, bc):
+    """The recurrence as single-step tape ops, in the order the fused op
+    promises to reproduce bit for bit."""
+    b, l, d = x.shape
+    h = Tensor(np.zeros((b, d)))
+    steps = T.transpose(x, (1, 0, 2))
+    for t in range(l):
+        xt = T.reshape(T.take_rows(steps, np.array([t])), (b, d))
+        z = T.sigmoid(T.add(T.add(T.matmul(xt, wz), T.matmul(h, uz)), bz))
+        r = T.sigmoid(T.add(T.add(T.matmul(xt, wr), T.matmul(h, ur)), br))
+        c = T.tanh_(T.add(T.add(T.matmul(xt, wc), T.matmul(T.mul(r, h), uc)), bc))
+        hn = T.add(h, T.mul(z, T.sub(c, h)))
+        g = np.asarray(gate, dtype=np.float64)[:, t, None]
+        h = T.add(h, T.mul(g, T.sub(hn, h)))
+    return h
+
+
+def test_gru_sequence_grad_every_parameter_and_input():
+    check_op(lambda x, *p: T.gru_sequence(x, GRU_GATE, *p), GRU_SHAPES(3, 6, 4), seed=1)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_gru_sequence_matches_the_per_step_composition(b):
+    rng = np.random.default_rng(2)
+    arrays = [rng.standard_normal(s) for s in GRU_SHAPES(b, 6, 4)]
+    w = rng.standard_normal((b, 4))
+    results = []
+    for build in (gru_reference, T.gru_sequence):
+        tensors = [Tensor(a) for a in arrays]
+        with Tape() as tape:
+            out = build(tensors[0], GRU_GATE[:b], *tensors[1:])
+            loss = T.sum_(T.mul(out, w))
+        tape.backward(loss)
+        results.append((out.values, [t.grad for t in tensors], len(tape)))
+    (ref, ref_grads, ref_records), (got, got_grads, got_records) = results
+    assert np.array_equal(got, ref)  # forward values bit for bit
+    for k, (g, r) in enumerate(zip(got_grads, ref_grads)):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=f"input {k}")
+    assert got_records == 3 and ref_records > 100
+
+
+def test_gru_sequence_all_padding_is_the_zero_state():
+    x = Tensor(np.ones((2, 3, 4)))
+    params = [Tensor(np.ones(s)) for s in GRU_SHAPES(2, 3, 4)[1:]]
+    with Tape() as tape:
+        out = T.gru_sequence(x, np.zeros((2, 3), dtype=bool), *params)
+        loss = T.sum_(out)
+    tape.backward(loss)
+    assert np.array_equal(out.values, np.zeros((2, 4)))
+    assert x.grad is None and all(p.grad is None for p in params)
+
+
+def test_gru_sequence_keeps_no_steps_without_a_tape():
+    rng = np.random.default_rng(3)
+    x, *params = [rng.standard_normal(s) * 0.3 for s in GRU_SHAPES(32, 200, 8)]
+    gate = np.ones((32, 200), dtype=bool)
+    peaks = []
+    for taped in (False, True):
+        tracemalloc.start()
+        if taped:
+            with Tape():
+                T.gru_sequence(x, gate, *params)
+        else:
+            T.gru_sequence(x, gate, *params)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # one contiguous copy of x is the only (L, B, d)-sized buffer untaped;
+    # taped, h, z, r and c are kept for every step
+    assert peaks[0] < 1.5 * x.nbytes
+    assert peaks[1] > 4 * x.nbytes
 
 
 def test_layer_norm_grad():
