@@ -1,10 +1,11 @@
-"""JSON artifacts: one writer, one reader, one parameter container.
+"""Output files: one atomic writer, one JSON reader, one parameter container.
 
-Every JSON file tailrec writes goes through :func:`write_json`: keys sorted,
-no whitespace, floats by ``repr`` so float64 values reload bitwise. The text
-goes to a dot-prefixed temp file in the target's directory, which is then
-renamed over the target, so a killed run leaves the old file or the new one,
-never half of either.
+Every output file tailrec writes, JSON (:func:`write_json`) or CSV and
+JSON-lines text (:func:`write_text`), goes to a dot-prefixed temp file in
+the target's directory, which is then renamed over the target, so a killed
+run leaves the old file or the new one, never half of either. JSON is
+written with keys sorted, no whitespace and floats by ``repr``, so float64
+values reload bitwise.
 
 Model checkpoints and inference functions share one versioned container:
 ``{"version", "kind", "catalog_hash", "config", "params", "meta"}`` plus any
@@ -26,6 +27,7 @@ from .errors import ConfigError, DataError
 __all__ = [
     "CONTAINER_VERSION",
     "FUNCTION_KIND",
+    "write_text",
     "write_json",
     "read_json",
     "write_container",
@@ -37,13 +39,15 @@ CONTAINER_VERSION = 1
 FUNCTION_KIND = "inference_function"  # the one container kind that is not a model
 
 
-def write_json(path, doc: dict) -> None:
+def _write_atomically(path, fill) -> None:
+    """``fill(fh)`` writes the content into a UTF-8 temp file (line endings
+    kept as given) that then replaces ``path``."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -51,6 +55,14 @@ def write_json(path, doc: dict) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def write_text(path, text: str) -> None:
+    _write_atomically(path, lambda fh: fh.write(text))
+
+
+def write_json(path, doc: dict) -> None:
+    _write_atomically(path, lambda fh: json.dump(doc, fh, sort_keys=True, separators=(",", ":")))
 
 
 def read_json(path, what: str) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from .data import (
     sample_negatives,
     split_leave_one_out,
 )
-from .artifacts import read_json, write_json
+from .artifacts import read_json, write_json, write_text
 from .errors import ConfigError, DataError, TrainingError
 from .evaluate import (
     ModelRanker,
@@ -385,6 +386,15 @@ def _report_doc(report: dict, cfg, lineage: dict) -> dict:
     }
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV (header, then rows; CRLF line ends), written atomically."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    write_text(path, buf.getvalue())
+
+
 def _delta_report(before: dict, after: dict) -> dict:
     out = {}
     for group, metrics in before.items():
@@ -456,9 +466,7 @@ def cmd_pretrain(cfg, args):
     }
     save_checkpoint(ckpt, model, catalog_hash(catalog.item_ids), kind="pretrained", meta=meta)
     metrics_path = os.path.join(cfg["out"], f"metrics_{cfg['variant']}.jsonl")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_text(metrics_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in history))
 
     if history:
         last = history[-1]
@@ -502,11 +510,8 @@ def cmd_train_cities(cfg, args):
         "curve": curve,
     })
     curve_path = os.path.join(cfg["out"], f"curve_{cfg['variant']}.csv")
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "mean_sq_distance"])
-        for i, v in enumerate(curve):
-            w.writerow([i, repr(v)])
+    _write_csv(curve_path, ["epoch", "mean_sq_distance"],
+               [[i, repr(v)] for i, v in enumerate(curve)])
 
     if curve:
         print(f"distance {curve[0]:.4f} -> {curve[-1]:.4f} over {len(curve)} epochs"
@@ -636,11 +641,7 @@ def cmd_sweep(cfg, args):
         print(f"{parameter}={v:g}: all hr10 {report['all']['hr10']:.4f}")
 
     path = os.path.join(cfg["out"], f"sweep_{parameter}_{cfg['variant']}.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["value", "hr10_all"])
-        for v, hr in rows:
-            w.writerow([repr(v), repr(hr)])
+    _write_csv(path, ["value", "hr10_all"], [[repr(v), repr(hr)] for v, hr in rows])
     return {"store": store["dataset_hash"], "checkpoint": source,
             "inference_function": inference_fingerprint(fn)}, [path]
 
@@ -755,11 +756,9 @@ def cmd_new_item(cfg, args):
         },
     })
     emb_path = os.path.join(out, f"new_item_embeddings_{cfg['variant']}.csv")
-    with open(emb_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["item_id", "index", *[f"e{i}" for i in range(model.config.d)]])
-        for (item_id, _, _), emb in zip(new_items, entries):
-            w.writerow([item_id, emb.item, *[repr(float(x)) for x in emb.vector]])
+    _write_csv(emb_path, ["item_id", "index", *[f"e{i}" for i in range(model.config.d)]],
+               [[item_id, emb.item, *[repr(float(x)) for x in emb.vector]]
+                for (item_id, _, _), emb in zip(new_items, entries)])
 
     print(f"{overall['n_items']} new items, {overall['n_test_cases']} test cases: "
           f"hr10 {overall['hr10']:.4f}  mrr {overall['mrr']:.4f}")
@@ -775,12 +774,9 @@ def cmd_export_embeddings(cfg, args):
 
     out_path = os.path.join(cfg["out"], f"embeddings_{os.path.basename(path).rsplit('.', 1)[0]}.csv")
     weights = model.table.weights.values
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "item_id", "provenance", *[f"e{i}" for i in range(model.config.d)]])
-        for i in range(model.config.n_items):
-            prov = "inferred" if i in inferred else "original"
-            w.writerow([i, catalog.item_ids[i], prov, *[repr(float(x)) for x in weights[i]]])
+    _write_csv(out_path, ["index", "item_id", "provenance", *[f"e{i}" for i in range(model.config.d)]],
+               [[i, catalog.item_ids[i], "inferred" if i in inferred else "original",
+                 *[repr(float(x)) for x in weights[i]]] for i in range(model.config.n_items)])
     print(f"wrote {model.config.n_items} rows to {out_path}")
     return {"store": store["dataset_hash"], "checkpoint": os.path.basename(path)}, [out_path]
 

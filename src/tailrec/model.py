@@ -7,14 +7,17 @@ table is genuinely shared storage: mutating a row changes both what the
 encoder sees and what the scorer produces.
 
 Sequences are left-padded to ``max_len`` with the pad index. The attention
-encoder always appends one more [mask] column at position ``max_len``; cloze
-training never scores that column. To rank, ``ranking_states`` keeps the last
-``max_len - 1`` history items, places a [mask] directly after them inside the
-window, and reads the user state at column ``max_len - 1`` -- the input cloze
-training scores whenever it masks the last position. The GRU reads its final
-hidden state over the last ``max_len`` items and never sees the [mask] token;
-its whole recurrence is the one fused tape op ``tensor.gru_sequence``, so a
-GRU training step records the same few ops whatever ``max_len`` is.
+encoder runs on exactly those ``max_len`` columns and returns the final
+hidden state of each; a [mask] token is only ever an item of the input, never
+an extra column. Cloze training reads the states at its masked slots. To
+rank, ``ranking_states`` keeps the last ``max_len - 1`` history items, places
+a [mask] directly after them inside the window, and reads the user state at
+column ``max_len - 1`` -- the input cloze training scores whenever it masks
+the last position (the BERT4Rec layout). Both pass the state through the
+one head projection, ``head_states``. The GRU reads its final hidden state
+over the last ``max_len`` items and never sees the [mask] token; its whole
+recurrence is the one fused tape op ``tensor.gru_sequence``, so a GRU
+training step records the same few ops whatever ``max_len`` is.
 
 Parameters live in nested dataclasses. ``named_parameters`` walks their
 fields in declaration order and is the only list of parameter names: the
@@ -44,7 +47,6 @@ __all__ = [
     "BlockParams",
     "GruParams",
     "EncoderParams",
-    "EncoderActivations",
     "Model",
     "init_model",
     "pad_batch",
@@ -53,6 +55,8 @@ __all__ = [
     "encode_transformer",
     "encode_gru",
     "encode",
+    "states_at",
+    "head_states",
     "ranking_states",
     "score",
     "score_candidates",
@@ -91,8 +95,7 @@ class ModelConfig:
 @dataclass
 class EmbeddingTable:
     """(n_items + 2) x d lookup; row pad_index is all-zero, row mask_index is
-    the [mask] token. ``positional`` has max_len + 1 rows so the slot after a
-    full-length sequence (where the mask token lands) still has a position."""
+    the [mask] token. ``positional`` has one row per input column (max_len)."""
 
     weights: Tensor
     item_bias: Tensor
@@ -160,11 +163,6 @@ class EncoderParams:
 
 
 @dataclass
-class EncoderActivations:
-    hidden: list  # H^0 .. H^N (transformer) or [final state] (gru)
-
-
-@dataclass
 class Model:
     config: ModelConfig
     table: EmbeddingTable
@@ -218,7 +216,7 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
             item_bias=Tensor(np.zeros(n)),
             pad_index=n,
             mask_index=n + 1,
-            positional=Tensor(trunc_normal(rng, (config.max_len + 1, d))),
+            positional=Tensor(trunc_normal(rng, (config.max_len, d))),
             ln_gain=Tensor(np.ones(d)),
             ln_bias=Tensor(np.zeros(d)),
         )
@@ -277,14 +275,6 @@ def embed_sequence(
     return e, real
 
 
-def _positions(h: Tensor, index: int) -> Tensor:
-    """Select one position from a (B, L, d) tensor -> (B, d)."""
-    b, l, d = h.shape
-    flipped = T.transpose(h, (1, 0, 2))
-    row = T.take_rows(flipped, np.array([index]))
-    return T.reshape(row, (b, d))
-
-
 def _mha(block: BlockParams, h: Tensor, additive_mask: np.ndarray, n_heads: int) -> Tensor:
     b, l, d = h.shape
     dh = d // n_heads
@@ -326,63 +316,34 @@ def transformer_block(
 
 def encode_transformer(
     encoder: EncoderParams,
-    table: EmbeddingTable,
     e: Tensor,
     real: np.ndarray,
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    read_position: int | None = None,
-):
-    """Append a [mask] column, run the block stack, read the user state.
-
-    ``read_position`` selects the column the user state is read from and
-    projected by ``head_w``/``head_b``. The default is the appended column L,
-    which no training loss scores; ranking reads column L - 1 instead, where
-    ``ranking_states`` puts the [mask] after the last ``max_len - 1`` history
-    items. Returns (m: (B, d), activations over B x (L+1) x d).
-    """
+) -> Tensor:
+    """Run the block stack over the L input columns; pad columns are masked
+    out as keys. Returns the final hidden states, (B, L, d)."""
     if encoder.variant != "transformer":
         raise ConfigError(f"encode_transformer got variant {encoder.variant!r}")
-    b, l, d = e.shape
-    # the [mask] column goes through the same embedding pipeline as items;
-    # layer norm is per-position so applying it to the lone column matches
-    # having embedded it in-sequence
-    mask_e = T.add(
-        T.take_rows(table.weights, np.full(b, table.mask_index)),
-        T.reshape(T.take_rows(table.positional, np.array([l])), (1, d)),
-    )
-    mask_e = T.layer_norm(mask_e, table.ln_gain, table.ln_bias)
-    if dropout_rate and training:
-        mask_e = T.dropout(mask_e, dropout_rate, training_flag=True, rng=rng)
-    h = T.concat([e, T.reshape(mask_e, (b, 1, d))], axis=1)
-
-    valid = np.concatenate([real, np.ones((b, 1), dtype=bool)], axis=1)
-    additive = np.where(valid, 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
-
+    additive = np.where(real, 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
     rate = dropout_rate if training else 0.0
-    hidden = [h]
+    h = e
     for block in encoder.blocks:
         h = transformer_block(block, h, additive, encoder.n_heads, rate, rng)
-        hidden.append(h)
-
-    pos = l if read_position is None else read_position
-    state = _positions(h, pos)
-    m = T.gelu(T.add(T.matmul(state, encoder.head_w), encoder.head_b))
-    return m, EncoderActivations(hidden=hidden)
+    return h
 
 
-def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray):
+def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray) -> Tensor:
     """Left-to-right gated recurrence from a zero state, as one
     ``tensor.gru_sequence`` op; pad steps are skipped by gating the state
-    update, so left padding cannot change the outcome. Returns (final state
-    (B, d), activations holding only that state): the op keeps per-step
-    states for its own backward pass and exposes none of them."""
+    update, so left padding cannot change the outcome. Returns the final
+    state (B, d): the op keeps per-step states for its own backward pass and
+    exposes none of them."""
     if encoder.variant != "gru":
         raise ConfigError(f"encode_gru got variant {encoder.variant!r}")
     g = encoder.gru
-    h = T.gru_sequence(e, real, g.wz, g.uz, g.bz, g.wr, g.ur, g.br, g.wc, g.uc, g.bc)
-    return h, EncoderActivations(hidden=[h])
+    return T.gru_sequence(e, real, g.wz, g.uz, g.bz, g.wr, g.ur, g.br, g.wc, g.uc, g.bc)
 
 
 def encode(
@@ -390,14 +351,28 @@ def encode(
     batch: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-):
-    """Embed + run the variant-appropriate encoder. batch: (B, max_len) padded."""
+) -> Tensor:
+    """Embed + run the variant-appropriate encoder. batch: (B, max_len) padded.
+    Returns the transformer's (B, max_len, d) hidden states or the GRU's
+    (B, d) final state."""
     cfg = model.config
     rate = cfg.dropout_rate if training else 0.0
     e, real = embed_sequence(model.table, batch, cfg.max_len, rate, training, rng)
     if cfg.variant == "transformer":
-        return encode_transformer(model.encoder, model.table, e, real, rate, training, rng)
+        return encode_transformer(model.encoder, e, real, rate, training, rng)
     return encode_gru(model.encoder, e, real)
+
+
+def states_at(h: Tensor, rows, columns) -> Tensor:
+    """The (n, d) states of a (B, L, d) tensor at the (row, column) pairs."""
+    b, l, d = h.shape
+    return T.take_rows(T.reshape(h, (b * l, d)), np.asarray(rows) * l + columns)
+
+
+def head_states(encoder: EncoderParams, states: Tensor) -> Tensor:
+    """The user-state projection gelu(state @ head_w + head_b) that cloze
+    training scores and ranking ranks with."""
+    return T.gelu(T.add(T.matmul(states, encoder.head_w), encoder.head_b))
 
 
 def ranking_states(model: Model, histories) -> Tensor:
@@ -411,12 +386,11 @@ def ranking_states(model: Model, histories) -> Tensor:
     cfg, table = model.config, model.table
     batch = pad_batch(histories, cfg.max_len, table.pad_index)
     if cfg.variant == "gru":
-        return encode(model, batch)[0]
-    mask_column = np.full((len(batch), 1), table.mask_index, dtype=np.int64)
-    batch = np.concatenate([batch[:, 1:], mask_column], axis=1)
-    e, real = embed_sequence(table, batch, cfg.max_len)
-    m, _ = encode_transformer(model.encoder, table, e, real, read_position=cfg.max_len - 1)
-    return m
+        return encode(model, batch)
+    batch[:, :-1] = batch[:, 1:]
+    batch[:, -1] = table.mask_index
+    h = encode(model, batch)
+    return head_states(model.encoder, states_at(h, np.arange(len(batch)), cfg.max_len - 1))
 
 
 def score(m: Tensor, table: EmbeddingTable) -> Tensor:

@@ -23,9 +23,11 @@ from .model import (
     ModelConfig,
     clone_model,
     encode,
+    head_states,
     init_model,
     named_parameters,
     score,
+    states_at,
 )
 from .optim import AdamState, adam_step
 from .tensor import Tape, Tensor
@@ -153,18 +155,14 @@ def nll_loss(scores: Tensor, truth) -> Tensor:
 
 def _masked_positions_loss(model: Model, inputs, targets, rng) -> Tensor:
     """Forward a masked batch and average NLL over every masked slot."""
-    _, acts = encode(model, inputs, training=True, rng=rng)
-    h = acts.hidden[-1]  # (B, L+1, d)
-    b, l1, d = h.shape
+    h = encode(model, inputs, training=True, rng=rng)
     ex, pos = np.nonzero(targets >= 0)
-    flat = T.reshape(h, (b * l1, d))
-    states = T.take_rows(flat, ex * l1 + pos)  # (M, d)
-    m = T.gelu(T.add(T.matmul(states, model.encoder.head_w), model.encoder.head_b))
+    m = head_states(model.encoder, states_at(h, ex, pos))
     return nll_loss(score(m, model.table), targets[ex, pos])
 
 
 def _next_item_loss(model: Model, inputs, truths, rng) -> Tensor:
-    m, _ = encode(model, inputs, training=True, rng=rng)
+    m = encode(model, inputs, training=True, rng=rng)
     return nll_loss(score(m, model.table), truths)
 
 

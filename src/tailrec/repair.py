@@ -57,6 +57,7 @@ from .model import (
     init_model,
     named_parameters,
     params_fingerprint,
+    states_at,
     transformer_block,
     trunc_normal,
 )
@@ -71,7 +72,6 @@ __all__ = [
     "InferredEmbedding",
     "derive_window_sizes",
     "init_inference_function",
-    "named_inference_parameters",
     "trainable_inference_parameters",
     "inference_fingerprint",
     "interpret_context",
@@ -218,11 +218,6 @@ def init_inference_function(
     )
 
 
-def named_inference_parameters(fn: InferenceFunction) -> list[tuple[str, Tensor]]:
-    """``interpreter.*`` then ``agg.*``, from the one parameter walk."""
-    return named_parameters(fn)
-
-
 def trainable_inference_parameters(fn: InferenceFunction) -> list[tuple[str, Tensor]]:
     """Aggregator always trains; the interpreter joins only when unfrozen.
     The interpreter's user-state head is dead weight here (never on the
@@ -232,7 +227,7 @@ def trainable_inference_parameters(fn: InferenceFunction) -> list[tuple[str, Ten
 
 
 def inference_fingerprint(fn: InferenceFunction) -> str:
-    return params_fingerprint(named_inference_parameters(fn))
+    return params_fingerprint(named_parameters(fn))
 
 
 def _trim(fn: InferenceFunction, window: ContextWindow) -> tuple[tuple, tuple]:
@@ -289,12 +284,9 @@ def interpret_context(
     rate = dropout_rate if training else 0.0
     e, real = embed_sequence(table, rows, ml, rate, training, rng)
     if fn.variant == "gru":
-        m, _ = encode_gru(fn.interpreter, e, real)
-        return m
-    _, acts = encode_transformer(fn.interpreter, table, e, real, rate, training, rng)
-    h = acts.hidden[-1]  # (n, ml + 1, d)
-    flat = T.reshape(h, (n * (ml + 1), fn.d))
-    return T.take_rows(flat, np.arange(n) * (ml + 1) + centers)
+        return encode_gru(fn.interpreter, e, real)
+    h = encode_transformer(fn.interpreter, e, real, rate, training, rng)
+    return states_at(h, np.arange(n), centers)
 
 
 def aggregate(
@@ -377,11 +369,18 @@ def _kept_rows(kept: dict, key, pick) -> Tensor:
 
 
 def _infer_picks(fn: InferenceFunction, model: Model, picks, kept: dict) -> list[np.ndarray]:
-    """One eval-mode embedding per (key, windows, pick), after every window
-    the picks lack in ``kept`` is encoded in batches."""
-    _encode_missing(fn, model, picks, kept)
-    return [aggregate(fn, _kept_rows(kept, key, pick)).values[0].copy()
-            for key, _, pick in picks]
+    """One eval-mode embedding per (item, windows, pick), after every window
+    the picks lack in ``kept`` is encoded in batches. A function whose
+    products overflow gives a one-line DataError, not a warning and an
+    infinite row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _encode_missing(fn, model, picks, kept)
+        vectors = [aggregate(fn, _kept_rows(kept, key, pick)).values[0].copy()
+                   for key, _, pick in picks]
+    for (item, _, _), vec in zip(picks, vectors):
+        if not np.isfinite(vec).all():
+            raise DataError(f"inferred vector for item {item} is not finite")
+    return vectors
 
 
 def infer_one(
@@ -611,7 +610,7 @@ def infer_new_items(
         wins, pick = _pick(fn, windows, np.random.default_rng(seed), context_batch_cap)
         if not wins:
             raise DataError("no usable context windows")
-        picks.append((k, wins, pick))
+        picks.append((n + k, wins, pick))
     vectors = _infer_picks(fn, model, picks, {})
 
     m = len(vectors)

@@ -34,7 +34,6 @@ __all__ = [
     "reshape",
     "transpose",
     "take_rows",
-    "concat",
     "softmax",
     "logsumexp",
     "gelu",
@@ -318,25 +317,6 @@ def take_rows(a, indices) -> Tensor:
             buf = np.zeros_like(av)
             np.add.at(buf, idx, g)
             _accum(a, buf)
-
-    _record(_bw)
-    return out
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    vals = [_val(p) for p in parts]
-    out = Tensor(np.concatenate(vals, axis=axis))
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw():
-        g = out.grad
-        if g is None:
-            return
-        sl = [slice(None)] * g.ndim
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
 
     _record(_bw)
     return out

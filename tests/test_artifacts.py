@@ -7,14 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from tailrec.artifacts import write_json
+from tailrec.artifacts import write_json, write_text
 from tailrec.model import ModelConfig, init_model, load_checkpoint, named_parameters, save_checkpoint
 from tailrec.repair import (
     FewShotConfig,
     InferenceTrainConfig,
     init_inference_function,
     load_inference_function,
-    named_inference_parameters,
     save_inference_function,
 )
 
@@ -53,7 +52,7 @@ def model_and_fn(variant):
 def test_parameter_names_and_order_are_pinned(variant):
     model, fn = model_and_fn(variant)
     assert [n for n, _ in named_parameters(model)] == CHECKPOINT_NAMES[variant]
-    assert [n for n, _ in named_inference_parameters(fn)] == FUNCTION_NAMES[variant]
+    assert [n for n, _ in named_parameters(fn)] == FUNCTION_NAMES[variant]
     assert len(CHECKPOINT_NAMES[variant]) == {"gru": 11, "transformer": 39}[variant]
 
 
@@ -108,3 +107,19 @@ def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         write_json(tmp_path / "report.json", {"groups": {}})
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "curve_gru.csv"
+    write_text(path, "epoch,mean_sq_distance\r\n0,0.5\r\n")
+    before = path.read_bytes()
+    assert before == b"epoch,mean_sq_distance\r\n0,0.5\r\n"  # line endings kept as given
+
+    def killed_before_rename(src, dst):
+        raise RuntimeError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed_before_rename)
+    with pytest.raises(RuntimeError, match="before the rename"):
+        write_text(path, "epoch,mean_sq_distance\r\n0,0.25\r\n")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["curve_gru.csv"]  # no temp file left

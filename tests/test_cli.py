@@ -15,6 +15,7 @@ import pytest
 
 from tailrec.cli import DEFAULT_CONFIG, main
 from tailrec.data import build_sequences, ingest
+from tailrec.model import ModelConfig, catalog_hash, init_model, save_checkpoint
 from tailrec.repair import load_inference_function
 from tailrec.synthetic import new_item_artifacts, synthetic_interactions, write_log_csv
 
@@ -285,6 +286,10 @@ def _with_overflowing_output(text):
     return json.dumps(doc)
 
 
+# an overflow must end in the one-line message, not in a warning printed ahead of it
+NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 @pytest.mark.parametrize("command,flag,source,corrupt", [
     ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: t[: len(t) // 2]),
     ("apply-eval", "--checkpoint", "checkpoint_gru.json", lambda t: _without(t, "config")),
@@ -292,18 +297,44 @@ def _with_overflowing_output(text):
     ("apply-eval", "--checkpoint", "cities_gru.json", lambda t: t),
     ("export-embeddings", "--checkpoint", "cities_gru.json", lambda t: t),
     ("apply-eval", "--cities", "cities_gru.json", _with_nan),
-    ("apply-eval", "--cities", "cities_gru.json", _with_overflowing_output),
+    pytest.param("apply-eval", "--cities", "cities_gru.json", _with_overflowing_output,
+                 marks=NO_RUNTIME_WARNING),
+    pytest.param("new-item", "--cities", "cities_gru.json", _with_overflowing_output,
+                 marks=NO_RUNTIME_WARNING),
 ], ids=["truncated-checkpoint", "checkpoint-without-config", "function-without-omega1",
         "function-as-checkpoint-apply-eval", "function-as-checkpoint-export",
-        "function-with-nan-weight", "function-inferring-infinite-rows"])
+        "function-with-nan-weight", "function-inferring-infinite-rows",
+        "function-inferring-infinite-new-items"])
 def test_corrupted_artifact_exits_3_with_one_line(workspace, tmp_path, capsys,
                                                   command, flag, source, corrupt):
     bad = tmp_path / source
     bad.write_text(corrupt((workspace["out"] / source).read_text()))
+    contexts = ["--contexts", workspace["contexts"]] if command == "new-item" else []
     capsys.readouterr()
-    assert run("--config", workspace["config"], command, flag, bad) == 3
+    assert run("--config", workspace["config"], command, flag, bad, *contexts) == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("data error: ") and "\n" not in err
+
+
+def test_old_layout_transformer_checkpoint_exits_3_with_one_line(workspace, tmp_path, capsys):
+    # checkpoints written while the encoder appended a [mask] column carry a
+    # positional table with max_len + 1 rows; the container refuses the shape
+    item_ids = json.loads((workspace["out"] / "store.json").read_text())["item_ids"]
+    model = init_model(ModelConfig("transformer", n_items=len(item_ids), d=16, n_blocks=1,
+                                   n_heads=2, max_len=10), np.random.default_rng(0))
+    path = tmp_path / "checkpoint_transformer.json"
+    save_checkpoint(path, model, catalog_hash(item_ids), "pretrained")
+    doc = json.loads(path.read_text())
+    positional = doc["params"]["table.positional"]
+    assert len(positional) == 10
+    positional.append(positional[-1])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("--config", workspace["config"], "--variant", "transformer", "apply-eval",
+               "--checkpoint", path) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and "\n" not in err
+    assert "table.positional has shape (11, 16), expected (10, 16)" in err
 
 
 def _with(text, value, *keys):
@@ -409,6 +440,26 @@ def test_sweep_kappa_writes_sorted_curve(workspace):
     assert rows[0] == "value,hr10_all"
     values = [float(r.split(",")[0]) for r in rows[1:]]
     assert values == [1.0, 3.0]
+
+
+def test_failed_sweep_write_keeps_the_previous_csv(workspace, monkeypatch, capsys):
+    # CSV outputs go through the atomic writer: a failure before the rename
+    # leaves the previous file and no temp file
+    argv = ("--config", workspace["config"], "sweep", "--parameter", "kappa", "--values", "2")
+    assert run(*argv) == 0
+    path = workspace["out"] / "sweep_kappa_gru.csv"
+    before = path.read_bytes()
+    assert before.startswith(b"value,hr10_all\r\n")
+
+    def full_disk(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    capsys.readouterr()
+    assert run(*argv[:-1], "5") == 3
+    assert capsys.readouterr().err.strip() == "data error: no space left on device"
+    assert path.read_bytes() == before
+    assert not [n for n in os.listdir(workspace["out"]) if n.endswith(".tmp")]
 
 
 def test_sweep_tau_rejects_out_of_range_values(workspace):

@@ -254,8 +254,7 @@ def test_transformer_ranks_from_the_slot_cloze_training_scores():
         kept = h[-(ml - 1):]
         rows[i, ml - 1 - len(kept):] = np.append(kept, mask)
 
-    _, acts = encode(model, rows)
-    state = acts.hidden[-1].values[:, ml - 1]
+    state = encode(model, rows).values[:, ml - 1]
     pre = state @ model.encoder.head_w.values + model.encoder.head_b.values
     m = pre * 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
     candidates = np.tile(np.arange(n_items), (len(histories), 1))

@@ -12,12 +12,12 @@ from tailrec.model import (
     embed_sequence,
     encode,
     encode_gru,
-    encode_transformer,
     init_model,
     load_checkpoint,
     named_parameters,
     pad_batch,
     params_fingerprint,
+    ranking_states,
     save_checkpoint,
     score,
     score_candidates,
@@ -82,7 +82,7 @@ def test_zero_weight_transformer_collapses_to_head_bias():
             t.values[:] = 1.0
     b = np.linspace(-1.0, 1.0, m.config.d)
     m.encoder.head_b.values[:] = b
-    out, _ = encode(m, pad_batch([[1, 2, 3]], 6, m.table.pad_index))
+    out = ranking_states(m, [[1, 2, 3]])
     from scipy.special import erf
 
     expected = b * 0.5 * (1 + erf(b / np.sqrt(2)))
@@ -90,29 +90,33 @@ def test_zero_weight_transformer_collapses_to_head_bias():
 
 
 def test_transformer_activation_shapes():
+    # one hidden state per input column, no extra column; the user state is
+    # one d-vector per history
     m = tiny("transformer", max_len=6, n_blocks=2)
-    batch = pad_batch([[1, 2, 3, 4, 5, 6], [7, 8]], 6, m.table.pad_index)
-    out, acts = encode(m, batch)
-    assert out.shape == (2, 8)
-    assert len(acts.hidden) == 3  # input plus one per block
-    assert all(h.shape == (2, 7, 8) for h in acts.hidden)
+    histories = [[1, 2, 3, 4, 5, 6], [7, 8]]
+    assert encode(m, pad_batch(histories, 6, m.table.pad_index)).shape == (2, 6, 8)
+    assert m.table.positional.shape == (6, 8)
+    assert ranking_states(m, histories).shape == (2, 8)
 
 
 def test_pad_row_content_cannot_leak_into_state():
     m = tiny("transformer")
     batch = pad_batch([[1, 2]], 6, m.table.pad_index)
-    before, _ = encode(m, batch)
+    before, hidden_before = ranking_states(m, [[1, 2]]), encode(m, batch)
     m.table.weights.values[m.table.pad_index] = 1e3  # garbage in the pad row
-    after, _ = encode(m, batch)
+    after, hidden_after = ranking_states(m, [[1, 2]]), encode(m, batch)
     np.testing.assert_allclose(after.values, before.values, atol=1e-9)
+    real = batch[0] != m.table.pad_index
+    np.testing.assert_allclose(hidden_after.values[0, real], hidden_before.values[0, real],
+                               atol=1e-9)
 
 
 def test_gru_pad_row_content_cannot_leak():
     m = tiny("gru")
     batch = pad_batch([[1, 2]], 6, m.table.pad_index)
-    before, _ = encode(m, batch)
+    before = encode(m, batch)
     m.table.weights.values[m.table.pad_index] = -7.0
-    after, _ = encode(m, batch)
+    after = encode(m, batch)
     np.testing.assert_allclose(after.values, before.values, atol=0)
 
 
@@ -120,9 +124,10 @@ def test_eval_mode_forward_is_bitwise_deterministic():
     for variant in ("transformer", "gru"):
         m = tiny(variant, dropout=0.3)
         batch = pad_batch([[1, 2, 3, 4]], 6, m.table.pad_index)
-        a, _ = encode(m, batch, training=False)
-        b, _ = encode(m, batch, training=False)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(encode(m, batch, training=False).values,
+                                      encode(m, batch, training=False).values)
+        np.testing.assert_array_equal(ranking_states(m, [[1, 2, 3, 4]]).values,
+                                      ranking_states(m, [[1, 2, 3, 4]]).values)
 
 
 def test_bad_head_count_rejected():
@@ -139,7 +144,7 @@ def test_zero_weight_gru_outputs_zero_state():
     m = tiny("gru")
     for _, t in named_parameters(m):
         t.values[:] = 0.0
-    out, _ = encode(m, pad_batch([[1, 2, 3]], 6, m.table.pad_index))
+    out = encode(m, pad_batch([[1, 2, 3]], 6, m.table.pad_index))
     np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
 
 
@@ -162,7 +167,7 @@ def test_single_step_gru_matches_hand_arithmetic():
     c = np.tanh(x * wc + (1 / (1 + np.exp(-(x * wr + h * ur + br)))) * h * uc + bc)
     expected = h + z * (c - h)
 
-    out, _ = encode(m, pad_batch([[1]], 2, m.table.pad_index))
+    out = encode(m, pad_batch([[1]], 2, m.table.pad_index))
     np.testing.assert_allclose(out.values[0, 0], expected, atol=1e-12)
 
 
@@ -183,8 +188,8 @@ def test_gru_prefix_padding_is_identity():
     seq = np.array([1, 2, 3])
     e_short, real_short = embed_sequence(m.table, pad_batch([seq], 3, m.table.pad_index), 3)
     e_long, real_long = embed_sequence(m.table, pad_batch([seq], 8, m.table.pad_index), 8)
-    short, _ = encode_gru(m.encoder, e_short, real_short)
-    long, _ = encode_gru(m.encoder, e_long, real_long)
+    short = encode_gru(m.encoder, e_short, real_short)
+    long = encode_gru(m.encoder, e_long, real_long)
     np.testing.assert_allclose(short.values, long.values, atol=1e-12)
 
 
@@ -244,9 +249,8 @@ def test_weight_sharing_one_storage():
 # ------------------------------------------------------------ gradients reach the table
 
 
-def _loss_for(m, batch, truth):
-    out, _ = encode(m, batch, training=False)
-    s = score(out, m.table)
+def _loss_for(m, histories, truth):
+    s = score(ranking_states(m, histories), m.table)
     lse = T.logsumexp(s, axis=-1)
     picked = T.take_rows(T.transpose(s, (1, 0)), np.asarray(truth))
     return T.sub(T.mean_(lse), T.mean_(picked))
@@ -255,9 +259,8 @@ def _loss_for(m, batch, truth):
 @pytest.mark.parametrize("variant", ["transformer", "gru"])
 def test_gradient_reaches_every_non_pad_input_row(variant):
     m = tiny(variant)
-    batch = pad_batch([[1, 2, 3]], 6, m.table.pad_index)
     with Tape() as tape:
-        loss = _loss_for(m, batch, [4])
+        loss = _loss_for(m, [[1, 2, 3]], [4])
     tape.backward(loss)
     g = m.table.weights.grad
     for row in (1, 2, 3):
@@ -265,16 +268,16 @@ def test_gradient_reaches_every_non_pad_input_row(variant):
 
 
 def test_mask_row_gradient_only_for_transformer():
+    # ranking feeds the transformer a [mask] after the history; the GRU never
     mt = tiny("transformer")
-    batch = pad_batch([[1, 2, 3]], 6, mt.table.pad_index)
     with Tape() as tape:
-        loss = _loss_for(mt, batch, [4])
+        loss = _loss_for(mt, [[1, 2, 3]], [4])
     tape.backward(loss)
     assert np.abs(mt.table.weights.grad[mt.table.mask_index]).max() > 0
 
     mg = tiny("gru")
     with Tape() as tape:
-        loss = _loss_for(mg, batch, [4])
+        loss = _loss_for(mg, [[1, 2, 3]], [4])
     tape.backward(loss)
     g = mg.table.weights.grad
     assert np.abs(g[mg.table.mask_index]).max() == 0.0
@@ -284,10 +287,10 @@ def test_mask_row_gradient_only_for_transformer():
 def test_end_to_end_finite_difference(variant):
     """Whole-model gradient check through encoder + shared-table scoring."""
     m = tiny(variant, n_items=6, d=4, max_len=4, n_heads=2)
-    batch = pad_batch([[1, 2, 3]], 4, m.table.pad_index)
+    history = [[1, 2, 3]]
     params = named_parameters(m)
     with Tape() as tape:
-        loss = _loss_for(m, batch, [5])
+        loss = _loss_for(m, history, [5])
     tape.backward(loss)
 
     rng = np.random.default_rng(0)
@@ -298,9 +301,9 @@ def test_end_to_end_finite_difference(variant):
         for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + eps
-            up = _loss_for(m, batch, [5]).item()
+            up = _loss_for(m, history, [5]).item()
             flat[i] = orig - eps
-            dn = _loss_for(m, batch, [5]).item()
+            dn = _loss_for(m, history, [5]).item()
             flat[i] = orig
             fd = (up - dn) / (2 * eps)
             # floor the denominator at the FD noise scale so tiny true
@@ -318,11 +321,12 @@ def test_numerical_stability_random_parameter_smoke():
         for _ in range(5000):
             for _, t in named_parameters(m):
                 t.values[:] = rng.uniform(-1, 1, t.values.shape)
-            out, acts = encode(m, batch)
+            hidden = encode(m, batch)
+            out = ranking_states(m, [[1, 2, 3, 4]])
             s = score(out, m.table)
+            assert np.all(np.isfinite(hidden.values))
             assert np.all(np.isfinite(out.values))
             assert np.all(np.isfinite(s.values))
-            assert all(np.all(np.isfinite(h.values)) for h in acts.hidden)
 
 
 # ------------------------------------------------------------ checkpoints

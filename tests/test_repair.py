@@ -11,13 +11,12 @@ from tailrec.errors import ConfigError, DataError, TrainingError
 from tailrec.model import (
     ModelConfig,
     embed_sequence,
-    encode,
-    encode_gru,
     encode_transformer,
     init_model,
     named_parameters,
     pad_batch,
     params_fingerprint,
+    ranking_states,
     score,
 )
 from tailrec.repair import (
@@ -34,7 +33,6 @@ from tailrec.repair import (
     init_inference_function,
     interpret_context,
     load_inference_function,
-    named_inference_parameters,
     save_inference_function,
     train_inference_function,
     trainable_inference_parameters,
@@ -119,7 +117,7 @@ def test_pretrained_init_copies_encoder_bitwise():
     model = tiny_model("transformer")
     fn = default_fn(model)
     base = dict(named_parameters(model))
-    for name, t in named_inference_parameters(fn):
+    for name, t in named_parameters(fn):
         if name.startswith("interpreter."):
             src = base[name.replace("interpreter.", "encoder.")]
             assert np.array_equal(t.values, src.values)
@@ -131,7 +129,7 @@ def test_scratch_init_differs_from_encoder():
     fn = default_fn(model, phi_alpha_init="scratch")
     base = dict(named_parameters(model))
     diffs = 0
-    for name, t in named_inference_parameters(fn):
+    for name, t in named_parameters(fn):
         if name.startswith("interpreter.blocks"):
             src = base[name.replace("interpreter.", "encoder.")]
             diffs += int(not np.array_equal(t.values, src.values))
@@ -171,9 +169,8 @@ def test_transformer_interpretation_reuses_encoder_weights():
     seq = left + [model.table.mask_index] + right
     rows = pad_batch([seq], ML, model.table.pad_index)
     e, real = embed_sequence(model.table, rows, ML)
-    _, acts = encode_transformer(model.encoder, model.table, e, real)
     center = ML - len(seq) + len(left)
-    expected = acts.hidden[-1].values[0, center]
+    expected = encode_transformer(model.encoder, e, real).values[0, center]
     assert np.array_equal(rep, expected)
 
 
@@ -295,7 +292,7 @@ def test_frozen_interpreter_never_moves():
     model = tiny_model("transformer")
     cfg = InferenceTrainConfig(epochs=3, dropout_rate=0.0, phi_alpha_frozen=True)
     fn, _, _ = train_inference_function(model, small_sets(), FewShotConfig(), cfg)
-    interp = [(n, t) for n, t in named_inference_parameters(fn) if n.startswith("interpreter.")]
+    interp = [(n, t) for n, t in named_parameters(fn) if n.startswith("interpreter.")]
     base = dict(named_parameters(model))
     for name, t in interp:
         assert np.array_equal(t.values, base[name.replace("interpreter.", "encoder.")].values)
@@ -326,7 +323,7 @@ def test_unfrozen_interpreter_moves_but_base_model_does_not():
     base = dict(named_parameters(model))
     moved = any(
         not np.array_equal(t.values, base[n.replace("interpreter.", "encoder.")].values)
-        for n, t in named_inference_parameters(fn)
+        for n, t in named_parameters(fn)
         if n.startswith("interpreter.gru")
     )
     assert moved
@@ -565,8 +562,7 @@ def test_apply_embeddings_scores_through_shared_table():
     model = tiny_model("transformer", seed=4)
     vec = np.linspace(-0.5, 0.5, D)
     out = apply_embeddings(model, [InferredEmbedding(15, vec, "inferred")])
-    history = pad_batch([[0, 1, 2, 3]], ML, model.table.pad_index)
-    m, _ = encode(out, history)
+    m = ranking_states(out, [[0, 1, 2, 3]])
     expected = m.values[0] @ vec + out.table.item_bias.values[15]
     got = score(m, out.table).values[0, 15]
     assert np.allclose(got, expected, atol=1e-12)
@@ -618,8 +614,7 @@ def test_new_item_scores_immediately():
     model = tiny_model("gru", seed=9)
     fn = default_fn(model)
     _, extended = infer_new_items(fn, model, [[win([5, 6, 7])]])
-    hist = pad_batch([[0, 1, 2]], ML, extended.table.pad_index)
-    m, _ = encode(extended, hist)
+    m = ranking_states(extended, [[0, 1, 2]])
     s = score(m, extended.table).values
     assert s.shape == (1, N_ITEMS + 1)
     assert np.all(np.isfinite(s))
