@@ -318,7 +318,10 @@ def _lock(outdir: str):
             os.unlink(path)
 
 
-def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str) -> str:
+def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str,
+                    seconds: float) -> str:
+    """Lineage and wall time of one command. Timings live only here: every
+    other output must stay byte-identical between same-seed runs."""
     path = os.path.join(cfg["out"], f"manifest_{command}.json")
     write_json(path, {
         "command": command,
@@ -328,6 +331,7 @@ def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str) -> 
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "seconds": seconds,
     })
     return path
 
@@ -842,8 +846,9 @@ def main(argv=None) -> int:
         os.makedirs(cfg["out"], exist_ok=True)
         with _lock(cfg["out"]):
             started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            t0 = time.perf_counter()
             inputs, outputs = COMMANDS[args.command](cfg, args)
-            _write_manifest(cfg, args.command, inputs, outputs, started)
+            _write_manifest(cfg, args.command, inputs, outputs, started, time.perf_counter() - t0)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,9 +7,12 @@ table is genuinely shared storage: mutating a row changes both what the
 encoder sees and what the scorer produces.
 
 Sequences are left-padded to ``max_len`` with the pad index. The attention
-encoder runs on exactly those ``max_len`` columns and returns the final
-hidden state of each; a [mask] token is only ever an item of the input, never
-an extra column. Cloze training reads the states at its masked slots. To
+encoder runs on exactly those ``max_len`` columns; a [mask] token is only ever
+an item of the input, never an extra column. Its callers name the (row,
+column) pairs they read and get those final states only: every block but the
+last runs at all columns, and the last computes keys and values at all
+columns but everything else only at the pairs read. Cloze training reads its
+masked slots, and the interpreter (``repair``) the [mask] of each window. To
 rank, ``ranking_states`` keeps the last ``max_len - 1`` history items, places
 a [mask] directly after them inside the window, and reads the user state at
 column ``max_len - 1`` -- the input cloze training scores whenever it masks
@@ -24,7 +27,8 @@ fields in declaration order and is the only list of parameter names: the
 optimizer, fingerprints, ``clone_model`` and the checkpoint container
 (``artifacts``) all read it, for models and for the inference functions
 ``repair`` builds from the same parts. ``transformer_block`` is the one
-self-attention block, shared by the encoder and the repair aggregator.
+self-attention block, shared by the encoder and the repair aggregator, which
+mean-pools every position and so runs its blocks at all of them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
     "encode_transformer",
     "encode_gru",
     "encode",
-    "states_at",
     "head_states",
     "ranking_states",
     "score",
@@ -275,21 +278,36 @@ def embed_sequence(
     return e, real
 
 
-def _mha(block: BlockParams, h: Tensor, additive_mask: np.ndarray, n_heads: int) -> Tensor:
+def _mha(
+    block: BlockParams,
+    h: Tensor,
+    additive_mask: np.ndarray,
+    n_heads: int,
+    queries: Tensor | None = None,
+    rows: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head self-attention over a (B, L, d) batch. Keys and values
+    always cover all L columns. Without ``rows`` every column queries and the
+    result is (B, L, d); given (n, d) ``queries`` and the batch row each one
+    belongs to, each attends over its own row's keys and the result is (n, d)."""
     b, l, d = h.shape
     dh = d // n_heads
 
-    def split(x):  # (B, L, d) -> (B, heads, L, dh)
-        return T.transpose(T.reshape(x, (b, l, n_heads, dh)), (0, 2, 1, 3))
+    def split(x, n, m):  # (n, m, d) -> (n, heads, m, dh)
+        return T.transpose(T.reshape(x, (n, m, n_heads, dh)), (0, 2, 1, 3))
 
-    q = split(T.add(T.matmul(h, block.wq), block.bq))
-    k = split(T.add(T.matmul(h, block.wk), block.bk))
-    v = split(T.add(T.matmul(h, block.wv), block.bv))
+    queries = h if queries is None else queries
+    n, m = (b, l) if rows is None else (queries.shape[0], 1)
+    q = split(T.add(T.matmul(queries, block.wq), block.bq), n, m)
+    k = split(T.add(T.matmul(h, block.wk), block.bk), b, l)
+    v = split(T.add(T.matmul(h, block.wv), block.bv), b, l)
+    if rows is not None:
+        k, v, additive_mask = T.take_rows(k, rows), T.take_rows(v, rows), additive_mask[rows]
     logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     logits = T.add(logits, additive_mask)
     attn = T.softmax(logits, axis=-1)
-    ctx = T.matmul(attn, v)  # (B, heads, L, dh)
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, l, d))
+    ctx = T.matmul(attn, v)  # (n, heads, m, dh)
+    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), queries.shape)
     return T.add(T.matmul(merged, block.wo), block.bo)
 
 
@@ -300,17 +318,30 @@ def transformer_block(
     n_heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    read: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Post-norm block: attention, dropout, residual, layer norm, then the
     GELU feed-forward, dropout, residual, layer norm. Dropout is drawn only
-    when ``dropout_rate`` is nonzero, attention output first."""
-    a = _mha(block, h, additive_mask, n_heads)
+    when ``dropout_rate`` is nonzero, attention output first.
+
+    By default the block runs at every column of the (B, L, d) input and
+    returns (B, L, d). ``read`` = (flat ``row * L + column`` indices, their
+    rows) runs everything after the keys and values at those n positions
+    only and returns their (n, d) states. Dropout masks are still drawn at
+    the full (B, L, d) shape, so the rng stream does not depend on ``read``.
+    """
+    b, l, d = h.shape
+    x, flat, rows = h, None, None
+    if read is not None:
+        flat, rows = read
+        x = T.take_rows(T.reshape(h, (b * l, d)), flat)
+    a = _mha(block, h, additive_mask, n_heads, x, rows)
     if dropout_rate:
-        a = T.dropout(a, dropout_rate, training_flag=True, rng=rng)
-    a = T.layer_norm(T.add(h, a), block.ln1_gain, block.ln1_bias)
+        a = T.dropout(a, dropout_rate, True, rng, rows=flat, n_rows=b * l)
+    a = T.layer_norm(T.add(x, a), block.ln1_gain, block.ln1_bias)
     f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
     if dropout_rate:
-        f = T.dropout(f, dropout_rate, training_flag=True, rng=rng)
+        f = T.dropout(f, dropout_rate, True, rng, rows=flat, n_rows=b * l)
     return T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
 
 
@@ -318,20 +349,30 @@ def encode_transformer(
     encoder: EncoderParams,
     e: Tensor,
     real: np.ndarray,
+    rows,
+    columns,
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run the block stack over the L input columns; pad columns are masked
-    out as keys. Returns the final hidden states, (B, L, d)."""
+    out as keys. Returns the final hidden states at the (row, column) pairs,
+    (n, d): every block but the last runs at all columns, the last one only
+    at the pairs read."""
     if encoder.variant != "transformer":
         raise ConfigError(f"encode_transformer got variant {encoder.variant!r}")
+    b, l, d = e.shape
+    rows = np.asarray(rows, dtype=np.intp)
+    flat = rows * l + np.asarray(columns, dtype=np.intp)
     additive = np.where(real, 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
     rate = dropout_rate if training else 0.0
     h = e
-    for block in encoder.blocks:
+    for block in encoder.blocks[:-1]:
         h = transformer_block(block, h, additive, encoder.n_heads, rate, rng)
-    return h
+    if not encoder.blocks:
+        return T.take_rows(T.reshape(h, (b * l, d)), flat)
+    return transformer_block(encoder.blocks[-1], h, additive, encoder.n_heads, rate, rng,
+                             (flat, rows))
 
 
 def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray) -> Tensor:
@@ -349,24 +390,22 @@ def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray) -> Tensor:
 def encode(
     model: Model,
     batch: np.ndarray,
+    at: tuple | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Embed + run the variant-appropriate encoder. batch: (B, max_len) padded.
-    Returns the transformer's (B, max_len, d) hidden states or the GRU's
+    The transformer needs ``at`` = (rows, columns) and returns the (n, d)
+    final states at those pairs; the GRU takes no ``at`` and returns its
     (B, d) final state."""
     cfg = model.config
+    if (at is None) != (cfg.variant == "gru"):
+        raise ValueError("the transformer reads (rows, columns) pairs, the GRU none")
     rate = cfg.dropout_rate if training else 0.0
     e, real = embed_sequence(model.table, batch, cfg.max_len, rate, training, rng)
     if cfg.variant == "transformer":
-        return encode_transformer(model.encoder, e, real, rate, training, rng)
+        return encode_transformer(model.encoder, e, real, *at, rate, training, rng)
     return encode_gru(model.encoder, e, real)
-
-
-def states_at(h: Tensor, rows, columns) -> Tensor:
-    """The (n, d) states of a (B, L, d) tensor at the (row, column) pairs."""
-    b, l, d = h.shape
-    return T.take_rows(T.reshape(h, (b * l, d)), np.asarray(rows) * l + columns)
 
 
 def head_states(encoder: EncoderParams, states: Tensor) -> Tensor:
@@ -389,8 +428,8 @@ def ranking_states(model: Model, histories) -> Tensor:
         return encode(model, batch)
     batch[:, :-1] = batch[:, 1:]
     batch[:, -1] = table.mask_index
-    h = encode(model, batch)
-    return head_states(model.encoder, states_at(h, np.arange(len(batch)), cfg.max_len - 1))
+    states = encode(model, batch, (np.arange(len(batch)), cfg.max_len - 1))
+    return head_states(model.encoder, states)
 
 
 def score(m: Tensor, table: EmbeddingTable) -> Tensor:

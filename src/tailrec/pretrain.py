@@ -27,7 +27,6 @@ from .model import (
     init_model,
     named_parameters,
     score,
-    states_at,
 )
 from .optim import AdamState, adam_step
 from .tensor import Tape, Tensor
@@ -155,9 +154,8 @@ def nll_loss(scores: Tensor, truth) -> Tensor:
 
 def _masked_positions_loss(model: Model, inputs, targets, rng) -> Tensor:
     """Forward a masked batch and average NLL over every masked slot."""
-    h = encode(model, inputs, training=True, rng=rng)
     ex, pos = np.nonzero(targets >= 0)
-    m = head_states(model.encoder, states_at(h, ex, pos))
+    m = head_states(model.encoder, encode(model, inputs, (ex, pos), training=True, rng=rng))
     return nll_loss(score(m, model.table), targets[ex, pos])
 
 

@@ -57,7 +57,6 @@ from .model import (
     init_model,
     named_parameters,
     params_fingerprint,
-    states_at,
     transformer_block,
     trunc_normal,
 )
@@ -285,8 +284,7 @@ def interpret_context(
     e, real = embed_sequence(table, rows, ml, rate, training, rng)
     if fn.variant == "gru":
         return encode_gru(fn.interpreter, e, real)
-    h = encode_transformer(fn.interpreter, e, real, rate, training, rng)
-    return states_at(h, np.arange(n), centers)
+    return encode_transformer(fn.interpreter, e, real, np.arange(n), centers, rate, training, rng)
 
 
 def aggregate(

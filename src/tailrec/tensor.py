@@ -8,7 +8,8 @@ gradients into every tensor that influenced the loss. Ops called with no
 active tape run plain numpy, which is the inference path.
 
 Plain numbers and ndarrays are accepted wherever a tensor is expected; they
-act as constants and never receive gradients.
+act as constants and never receive gradients. ``Tensor(x)`` copies ``x``; an
+op wraps the array it just computed as it is (``Tensor._wrap``).
 
 Most ops are single numpy expressions. ``gru_sequence`` is fused: it runs a
 whole GRU recurrence in one call and records one closure that
@@ -57,6 +58,16 @@ class Tensor:
     def __init__(self, values):
         self.values = np.array(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
+
+    @classmethod
+    def _wrap(cls, values) -> "Tensor":
+        """An op's freshly computed result, taken without the copy that
+        ``Tensor(values)`` makes. Reshape and transpose results are views of
+        the op's input, which no op writes to."""
+        t = cls.__new__(cls)
+        t.values = np.asarray(values, dtype=np.float64)
+        t.grad = None
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -182,7 +193,7 @@ def reset_grads(tensors) -> None:
 
 def add(a, b) -> Tensor:
     av, bv = _val(a), _val(b)
-    out = Tensor(av + bv)
+    out = Tensor._wrap(av + bv)
 
     def _bw():
         g = out.grad
@@ -197,7 +208,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     av, bv = _val(a), _val(b)
-    out = Tensor(av - bv)
+    out = Tensor._wrap(av - bv)
 
     def _bw():
         g = out.grad
@@ -211,7 +222,7 @@ def sub(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    out = Tensor(-_val(a))
+    out = Tensor._wrap(-_val(a))
 
     def _bw():
         if out.grad is not None:
@@ -223,7 +234,7 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     av, bv = _val(a), _val(b)
-    out = Tensor(av * bv)
+    out = Tensor._wrap(av * bv)
 
     def _bw():
         g = out.grad
@@ -243,7 +254,7 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul needs ndim >= 2 operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {av.shape} vs {bv.shape}")
-    out = Tensor(av @ bv)
+    out = Tensor._wrap(av @ bv)
 
     def _bw():
         g = out.grad
@@ -258,7 +269,7 @@ def matmul(a, b) -> Tensor:
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     av = _val(a)
-    out = Tensor(av.sum(axis=axis, keepdims=keepdims))
+    out = Tensor._wrap(av.sum(axis=axis, keepdims=keepdims))
 
     def _bw():
         g = out.grad
@@ -280,7 +291,7 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     av = _val(a)
-    out = Tensor(av.reshape(shape))
+    out = Tensor._wrap(av.reshape(shape))
 
     def _bw():
         if out.grad is not None:
@@ -292,7 +303,7 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     av = _val(a)
-    out = Tensor(av.transpose(axes))
+    out = Tensor._wrap(av.transpose(axes))
     inv = np.argsort(axes)
 
     def _bw():
@@ -307,7 +318,7 @@ def take_rows(a, indices) -> Tensor:
     """Gather rows along axis 0; duplicate indices accumulate gradient."""
     av = _val(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(av[idx])
+    out = Tensor._wrap(av[idx])
 
     def _bw():
         g = out.grad
@@ -327,7 +338,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = av - av.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
+    out = Tensor._wrap(s)
 
     def _bw():
         g = out.grad
@@ -347,7 +358,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     res = np.log(tot) + m
     if not keepdims:
         res = np.squeeze(res, axis=axis)
-    out = Tensor(res)
+    out = Tensor._wrap(res)
     soft = e / tot
 
     def _bw():
@@ -366,7 +377,7 @@ def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x)."""
     av = _val(a)
     cdf = 0.5 * (1.0 + erf(av * _INV_SQRT2))
-    out = Tensor(av * cdf)
+    out = Tensor._wrap(av * cdf)
 
     def _bw():
         g = out.grad
@@ -381,7 +392,7 @@ def gelu(a) -> Tensor:
 
 def tanh_(a) -> Tensor:
     t = np.tanh(_val(a))
-    out = Tensor(t)
+    out = Tensor._wrap(t)
 
     def _bw():
         if out.grad is not None:
@@ -400,7 +411,7 @@ def _sigmoid_values(av: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     s = _sigmoid_values(_val(a))
-    out = Tensor(s)
+    out = Tensor._wrap(s)
 
     def _bw():
         if out.grad is not None:
@@ -446,7 +457,7 @@ def gru_sequence(x, gate, wz, uz, bz, wr, ur, br, wc, uc, bc) -> Tensor:
             steps.append((h, z, r, c))
         hn = h + z * (c - h)
         h = h + gv[:, t, None] * (hn - h)
-    out = Tensor(h)
+    out = Tensor._wrap(h)
     if not taped:
         return out
 
@@ -490,7 +501,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     var = av.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (av - mu) * inv
-    out = Tensor(xhat * gv + bv)
+    out = Tensor._wrap(xhat * gv + bv)
 
     def _bw():
         g = out.grad
@@ -508,10 +519,20 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     return out
 
 
-def dropout(a, rate: float, training_flag: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(
+    a,
+    rate: float,
+    training_flag: bool,
+    rng: np.random.Generator | None = None,
+    rows=None,
+    n_rows: int = 0,
+) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Identity when not training or when rate == 0.
+    Identity when not training or when rate == 0. Given ``rows``, ``a`` holds
+    only those rows of an (n_rows, ...) tensor: the mask is drawn for all
+    n_rows rows and the read ones are kept, so the rng advances exactly as
+    it would for the full tensor.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -520,8 +541,12 @@ def dropout(a, rate: float, training_flag: bool, rng: np.random.Generator | None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     av = _val(a)
-    keep = (rng.random(av.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    out = Tensor(av * keep)
+    if rows is None:
+        draw = rng.random(av.shape)
+    else:
+        draw = rng.random((n_rows,) + av.shape[1:])[rows]
+    keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
+    out = Tensor._wrap(av * keep)
 
     def _bw():
         if out.grad is not None:

@@ -54,8 +54,7 @@ PRETRAIN_SETTINGS = {
 PHASE2_EPOCHS = 50
 
 
-@pytest.fixture(scope="session")
-def acceptance_corpus():
+def build_acceptance_corpus():
     rows = synthetic_interactions(
         n_users=2000, n_items=500, zipf_s=1.2, transition_prob=0.75,
         min_len=5, max_len=15, seed=CORPUS_SEED,
@@ -76,11 +75,16 @@ def acceptance_corpus():
     }
 
 
-def _pretrain(variant, corpus):
+@pytest.fixture(scope="session")
+def acceptance_corpus():
+    return build_acceptance_corpus()
+
+
+def pretrain_base(variant, corpus, seed=PRETRAIN_SEED):
     cfg = PretrainConfig(
         variant=variant, max_len=MAX_LEN, d=32, n_blocks=2, n_heads=2,
         dropout_rate=0.1, learning_rate=0.001, warmup_steps=100,
-        l2_coefficient=1e-4, batch_size=128, seed=PRETRAIN_SEED,
+        l2_coefficient=1e-4, batch_size=128, seed=seed,
         n_negatives=100, **PRETRAIN_SETTINGS[variant],
     )
     t0 = time.time()
@@ -90,12 +94,12 @@ def _pretrain(variant, corpus):
 
 @pytest.fixture(scope="session")
 def gru_base(acceptance_corpus):
-    return _pretrain("gru", acceptance_corpus)
+    return pretrain_base("gru", acceptance_corpus)
 
 
 @pytest.fixture(scope="session")
 def transformer_base(acceptance_corpus):
-    return _pretrain("transformer", acceptance_corpus)
+    return pretrain_base("transformer", acceptance_corpus)
 
 
 def context_sets_for(corpus, variant, items):
@@ -113,7 +117,7 @@ def phase2_config(**overrides):
     return InferenceTrainConfig(**base)
 
 
-def _repair(corpus, base):
+def repair_base(corpus, base, phase2_seed=PHASE2_SEED):
     model = base["model"]
     part = corpus["partition"]
     head_sets = context_sets_for(corpus, model.config.variant, part.head_set)
@@ -121,7 +125,7 @@ def _repair(corpus, base):
 
     t0 = time.time()
     fn, curve, skipped = train_inference_function(
-        model, head_sets, FewShotConfig(), phase2_config())
+        model, head_sets, FewShotConfig(), phase2_config(seed=phase2_seed))
     inferred = infer_embeddings(
         fn, model, tail_sets, part, rng=np.random.default_rng([EVAL_SEED, 9]))
     repaired = apply_embeddings(model, inferred)
@@ -135,23 +139,26 @@ def _repair(corpus, base):
 
 @pytest.fixture(scope="session")
 def gru_repair(acceptance_corpus, gru_base):
-    return _repair(acceptance_corpus, gru_base)
+    return repair_base(acceptance_corpus, gru_base)
 
 
 @pytest.fixture(scope="session")
 def transformer_repair(acceptance_corpus, transformer_base):
-    return _repair(acceptance_corpus, transformer_base)
+    return repair_base(acceptance_corpus, transformer_base)
+
+
+def candidate_matrix(corpus, draw=4):
+    """One fixed negative draw, so every before/after comparison is paired."""
+    return build_test_candidates(
+        corpus["split"], corpus["catalog"], 100, np.random.default_rng([EVAL_SEED, draw]))
 
 
 @pytest.fixture(scope="session")
 def test_candidates(acceptance_corpus):
-    # one fixed matrix so every before/after comparison is paired
-    return build_test_candidates(
-        acceptance_corpus["split"], acceptance_corpus["catalog"], 100,
-        np.random.default_rng([EVAL_SEED, 4]))
+    return candidate_matrix(acceptance_corpus)
 
 
-def _paired_reports(corpus, base, repair, candidates):
+def paired_reports(corpus, base, repair, candidates):
     kwargs = dict(n_negatives=100, max_len=MAX_LEN, candidates=candidates)
     t0 = time.time()
     before = evaluate(ModelRanker(base["model"]), corpus["split"],
@@ -163,11 +170,11 @@ def _paired_reports(corpus, base, repair, candidates):
 
 @pytest.fixture(scope="session")
 def gru_reports(acceptance_corpus, gru_base, gru_repair, test_candidates):
-    return _paired_reports(acceptance_corpus, gru_base, gru_repair, test_candidates)
+    return paired_reports(acceptance_corpus, gru_base, gru_repair, test_candidates)
 
 
 @pytest.fixture(scope="session")
 def transformer_reports(acceptance_corpus, transformer_base, transformer_repair,
                         test_candidates):
-    return _paired_reports(acceptance_corpus, transformer_base,
-                           transformer_repair, test_candidates)
+    return paired_reports(acceptance_corpus, transformer_base,
+                          transformer_repair, test_candidates)

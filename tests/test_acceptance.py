@@ -147,6 +147,22 @@ def test_gradient_suite_every_layer_matches_finite_differences():
         ("bq", blk.bq), ("input", h_in),
     ], fwd_mha, failures)
 
+    h_two = T.Tensor(rng.standard_normal((2, 4, 8)))  # unit scale: wq, wk grads above FD noise
+    key_mask = np.where([[True] * 4, [False, True, True, True]], 0.0, M.NEG_ATTENTION)
+    read_rows = np.array([0, 1, 1])
+    read = (read_rows * 4 + np.array([3, 1, 3]), read_rows)
+    w_read = np.linspace(-0.7, 0.9, 3 * 8).reshape(3, 8)
+
+    def fwd_last_block():
+        out = M.transformer_block(blk, h_two, key_mask[:, None, None, :], 2, read=read)
+        return T.sum_(T.mul(out, w_read))
+
+    _check_layer("last block at read rows", [
+        ("wq", blk.wq), ("wk", blk.wk), ("wv", blk.wv), ("wo", blk.wo), ("bq", blk.bq),
+        ("ln1_gain", blk.ln1_gain), ("w1", blk.w1), ("w2", blk.w2), ("ln2_bias", blk.ln2_bias),
+        ("input", h_two),
+    ], fwd_last_block, failures)
+
     def fwd_pwff():
         inner = T.gelu(T.add(T.matmul(h_in, blk.w1), blk.b1))
         return T.sum_(T.mul(T.add(T.matmul(inner, blk.w2), blk.b2), w_attn))

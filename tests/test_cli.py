@@ -209,6 +209,10 @@ def test_manifest_records_lineage(workspace):
     assert sorted(man["outputs"]) == ["checkpoint_gru.json", "metrics_gru.jsonl"]
     store = json.loads((workspace["out"] / "store.json").read_text())
     assert man["inputs"]["store"] == store["dataset_hash"]
+    # the command's wall time is in its manifest and in no other output
+    assert man["seconds"] > 0
+    for line in (workspace["out"] / "metrics_gru.jsonl").read_text().splitlines():
+        assert "seconds" not in json.loads(line)
 
 
 def test_resume_from_continues_epoch_numbering(workspace, tmp_path):

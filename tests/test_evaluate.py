@@ -254,7 +254,8 @@ def test_transformer_ranks_from_the_slot_cloze_training_scores():
         kept = h[-(ml - 1):]
         rows[i, ml - 1 - len(kept):] = np.append(kept, mask)
 
-    state = encode(model, rows).values[:, ml - 1]
+    every = np.divmod(np.arange(rows.size), ml)
+    state = encode(model, rows, every).values.reshape(len(rows), ml, -1)[:, ml - 1]
     pre = state @ model.encoder.head_w.values + model.encoder.head_b.values
     m = pre * 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
     candidates = np.tile(np.arange(n_items), (len(histories), 1))

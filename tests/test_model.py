@@ -6,6 +6,7 @@ import pytest
 from tailrec import tensor as T
 from tailrec.errors import ConfigError, DataError
 from tailrec.model import (
+    NEG_ATTENTION,
     ModelConfig,
     catalog_hash,
     clone_model,
@@ -21,6 +22,7 @@ from tailrec.model import (
     save_checkpoint,
     score,
     score_candidates,
+    transformer_block,
 )
 from tailrec.pretrain import _next_item_loss
 from tailrec.tensor import Tape, Tensor
@@ -30,6 +32,17 @@ def tiny(variant, n_items=9, d=8, n_blocks=1, n_heads=2, max_len=6, seed=0, drop
     cfg = ModelConfig(variant=variant, n_items=n_items, d=d, n_blocks=n_blocks,
                       n_heads=n_heads, max_len=max_len, dropout_rate=dropout)
     return init_model(cfg, np.random.default_rng(seed))
+
+
+def every_pair(batch):
+    """(rows, columns) naming every position of a (B, L) batch, row-major."""
+    return np.divmod(np.arange(batch.size), batch.shape[1])
+
+
+def hidden_states(m, batch, **kwargs):
+    """The transformer's (B, L, d) final states, read at every position."""
+    b, l = batch.shape
+    return encode(m, batch, every_pair(batch), **kwargs).values.reshape(b, l, -1)
 
 
 # ------------------------------------------------------------ embedding layer
@@ -94,7 +107,7 @@ def test_transformer_activation_shapes():
     # one d-vector per history
     m = tiny("transformer", max_len=6, n_blocks=2)
     histories = [[1, 2, 3, 4, 5, 6], [7, 8]]
-    assert encode(m, pad_batch(histories, 6, m.table.pad_index)).shape == (2, 6, 8)
+    assert hidden_states(m, pad_batch(histories, 6, m.table.pad_index)).shape == (2, 6, 8)
     assert m.table.positional.shape == (6, 8)
     assert ranking_states(m, histories).shape == (2, 8)
 
@@ -102,13 +115,61 @@ def test_transformer_activation_shapes():
 def test_pad_row_content_cannot_leak_into_state():
     m = tiny("transformer")
     batch = pad_batch([[1, 2]], 6, m.table.pad_index)
-    before, hidden_before = ranking_states(m, [[1, 2]]), encode(m, batch)
+    before, hidden_before = ranking_states(m, [[1, 2]]), hidden_states(m, batch)
     m.table.weights.values[m.table.pad_index] = 1e3  # garbage in the pad row
-    after, hidden_after = ranking_states(m, [[1, 2]]), encode(m, batch)
+    after, hidden_after = ranking_states(m, [[1, 2]]), hidden_states(m, batch)
     np.testing.assert_allclose(after.values, before.values, atol=1e-9)
     real = batch[0] != m.table.pad_index
-    np.testing.assert_allclose(hidden_after.values[0, real], hidden_before.values[0, real],
-                               atol=1e-9)
+    np.testing.assert_allclose(hidden_after[0, real], hidden_before[0, real], atol=1e-9)
+
+
+def _full_blocks_then_gather(m, batch, rows, columns, training, rng):
+    """The all-columns composition: every block at every column, then the
+    states read at the pairs."""
+    cfg = m.config
+    rate = cfg.dropout_rate if training else 0.0
+    e, real = embed_sequence(m.table, batch, cfg.max_len, rate, training, rng)
+    additive = np.where(real, 0.0, NEG_ATTENTION)[:, None, None, :]
+    h = e
+    for block in m.encoder.blocks:
+        h = transformer_block(block, h, additive, cfg.n_heads, rate, rng)
+    b, l, d = h.shape
+    return T.take_rows(T.reshape(h, (b * l, d)), np.asarray(rows) * l + columns)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("pairs", ["some", "every"])
+def test_last_block_at_read_rows_matches_full_blocks_then_gather(pairs, training):
+    m = tiny("transformer", n_blocks=2, dropout=0.3, seed=2)
+    for _, t in named_parameters(m):  # move off the near-zero initialization
+        t.values = t.values + np.random.default_rng(9).normal(0.0, 0.3, t.values.shape)
+    batch = pad_batch([[1, 2, 3, 4, 5, 6], [7, 8], [3, 1, 4, 1], [m.table.mask_index, 2]],
+                      6, m.table.pad_index)
+    if pairs == "some":  # row 1 read zero times, row 0 once, row 2 several times, a pair twice
+        rows, columns = np.array([0, 2, 2, 2, 3]), np.array([5, 2, 4, 4, 5])
+    else:
+        rows, columns = every_pair(batch)
+    weights = np.random.default_rng(1).standard_normal((len(rows), m.config.d))
+    params = [t for _, t in named_parameters(m)]
+    runs = {
+        "read": lambda rng: encode(m, batch, (rows, columns), training=training, rng=rng),
+        "full": lambda rng: _full_blocks_then_gather(m, batch, rows, columns, training, rng),
+    }
+    results = {}
+    for name, run in runs.items():
+        rng = np.random.default_rng(4)
+        with Tape() as tape:
+            states = run(rng)
+            tape.backward(T.sum_(T.mul(states, weights)))
+        results[name] = (states.values, rng.bit_generator.state, [t.grad for t in params])
+        T.reset_grads(params)
+    (got, got_rng, got_grads), (want, want_rng, want_grads) = results["read"], results["full"]
+    assert got_rng == want_rng  # the same draws, so the same rng state after
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_gru_pad_row_content_cannot_leak():
@@ -124,8 +185,9 @@ def test_eval_mode_forward_is_bitwise_deterministic():
     for variant in ("transformer", "gru"):
         m = tiny(variant, dropout=0.3)
         batch = pad_batch([[1, 2, 3, 4]], 6, m.table.pad_index)
-        np.testing.assert_array_equal(encode(m, batch, training=False).values,
-                                      encode(m, batch, training=False).values)
+        at = every_pair(batch) if variant == "transformer" else None
+        np.testing.assert_array_equal(encode(m, batch, at, training=False).values,
+                                      encode(m, batch, at, training=False).values)
         np.testing.assert_array_equal(ranking_states(m, [[1, 2, 3, 4]]).values,
                                       ranking_states(m, [[1, 2, 3, 4]]).values)
 
@@ -318,10 +380,11 @@ def test_numerical_stability_random_parameter_smoke():
     for variant in ("transformer", "gru"):
         m = tiny(variant, n_items=5, d=4, max_len=4, n_blocks=1, n_heads=2)
         batch = pad_batch([[1, 2, 3, 4]], 4, m.table.pad_index)
+        at = every_pair(batch) if variant == "transformer" else None
         for _ in range(5000):
             for _, t in named_parameters(m):
                 t.values[:] = rng.uniform(-1, 1, t.values.shape)
-            hidden = encode(m, batch)
+            hidden = encode(m, batch, at)
             out = ranking_states(m, [[1, 2, 3, 4]])
             s = score(out, m.table)
             assert np.all(np.isfinite(hidden.values))

@@ -305,6 +305,13 @@ def test_dropout_grad_matches_mask():
     np.testing.assert_allclose(x.grad, np.where(out.values != 0, 1.0 / 0.6, 0.0))
 
 
+def test_public_constructor_copies_its_input():
+    x = np.arange(4.0)
+    t = Tensor(x)
+    x[0] = 9.0
+    np.testing.assert_array_equal(t.values, [0.0, 1.0, 2.0, 3.0])
+
+
 def test_constants_do_not_get_grads():
     x = Tensor(np.ones((2, 2)))
     c = np.full((2, 2), 3.0)
