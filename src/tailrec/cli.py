@@ -134,8 +134,27 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"config key {prefix}{key} must be an object")
             out[key] = _merge(dv, uv, f"{prefix}{key}.")
         else:
-            out[key] = user.get(key, dv)
+            uv = out[key] = user.get(key, dv)
+            if not _same_type(uv, dv):
+                raise ConfigError(f"config key {prefix}{key} must be {_TYPE_NAMES[type(dv)]}, "
+                                  f"got {json.dumps(uv)}")
     return out
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", type(None): "an integer or null"}
+
+
+def _same_type(value, default) -> bool:
+    """A value read from a config file has its default's type. An integer
+    may stand where the default is a float or None; a bool is no integer."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if default is None:
+        return value is None or isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 def _validate(cfg: dict) -> None:
@@ -143,7 +162,7 @@ def _validate(cfg: dict) -> None:
     if cfg["variant"] not in ("gru", "transformer"):
         raise ConfigError(f"variant must be gru or transformer, got {cfg['variant']!r}")
     tau = cfg["tau"]
-    if not isinstance(tau, (int, float)) or not 0.0 < tau < 1.0:
+    if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie strictly between 0 and 1, got {tau}")
     if cfg["cities"]["kappa_max"] < 1:
         raise ConfigError(f"kappa_max must be >= 1, got {cfg['cities']['kappa_max']}")
@@ -157,8 +176,16 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"dataset.format must be csv or jsonl, got {cfg['dataset']['format']!r}")
     if cfg["sweep"]["parameter"] not in ("tau", "kappa"):
         raise ConfigError(f"sweep.parameter must be tau or kappa, got {cfg['sweep']['parameter']!r}")
-    if not isinstance(cfg["sweep"]["values"], list) or not cfg["sweep"]["values"]:
-        raise ConfigError("sweep.values must be a non-empty list")
+    values = cfg["sweep"]["values"]
+    if not values or not all(_same_type(v, 0.0) for v in values):
+        raise ConfigError(f"sweep.values must be a non-empty list of numbers, got {json.dumps(values)}")
+    bounded = [("seed", cfg["seed"], 0), ("evaluate.seed", cfg["evaluate"]["seed"], 0)] + [
+        (f"{section}.{name}", cfg[section][name], 1) for section, name in (
+            ("pretrain", "batch_size"), ("pretrain", "n_negatives"), ("evaluate", "batch_size"),
+            ("evaluate", "n_negatives"), ("cities", "context_batch_cap"))]
+    for key, value, least in bounded:
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
 
 
 def load_config(args) -> dict:

@@ -26,11 +26,14 @@ per target item, mimicking how little context the rare items actually have.
 New items never seen in training get a row appended the same way, with no
 gradient step anywhere.
 
-A window's vector depends only on the window and the interpreter, so every
-window is encoded once and kept (``_encode_missing``), keyed by (item,
-window index, alone). Training with a frozen interpreter fills the cache
-step by step; inference picks the windows of every item first, then encodes
-all those not yet kept in a few batched calls and pools each item's vectors.
+A window's eval-mode vector depends only on the window and the interpreter,
+so ``_encode_missing`` is the one way to encode windows outside the tape: it
+encodes each window once, in batches of two or more rows, and keeps it
+keyed by (item, window index). Every caller picks its windows first and then
+encodes all those not yet kept in a few batched calls: inference picks the
+windows of every item, and training draws every epoch's picks before its
+first step, so a frozen interpreter encodes everything the steps and the
+end-of-epoch probe read at once.
 """
 
 from __future__ import annotations
@@ -334,36 +337,26 @@ def _pick(fn: InferenceFunction, windows, rng, context_batch_cap: int):
 def _encode_missing(fn: InferenceFunction, model: Model, requests, kept: dict) -> None:
     """Put the eval-mode ``interpret_context`` vector of every window of
     ``requests`` -- (key, windows, pick) triples -- into ``kept`` unless it
-    is there, keyed (key, window index, alone).
+    is there, keyed (key, window index).
 
-    A row of a batched product does not depend on the rows beside it, so the
-    windows of all picks share chunked calls. A one-row product takes another
-    BLAS path and can round differently: a pick of one is therefore encoded
-    alone, and no chunk holds a single window (one left to encode is batched
-    with one already kept, a lone last one joins the chunk before it).
+    A row of a product with two or more rows does not depend on the rows
+    beside it, but a one-row product takes another BLAS path and can round
+    differently. So a chunk that would hold one window is encoded beside a
+    copy of itself and only its first row is kept: a kept vector is the row
+    any batch of two or more windows gives it.
     """
-    batched: dict[tuple, ContextWindow] = {}
+    todo = {}
     for key, wins, pick in requests:
-        if len(pick) == 1:
-            k = (key, int(pick[0]), True)
-            if k not in kept:
-                kept[k] = interpret_context(fn, model, [wins[k[1]]]).values[0]
-        else:
-            batched.update(((key, int(i), False), wins[i]) for i in pick)
-    todo = [k for k in batched if k not in kept]
-    if len(todo) == 1:
-        todo.append(next(k for k in batched if k != todo[0]))
-    bounds = [*range(0, len(todo), _ENCODE_CHUNK), len(todo)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = todo[lo:hi]
-        kept.update(zip(chunk, interpret_context(fn, model, [batched[k] for k in chunk]).values))
+        todo.update(((key, int(i)), wins[i]) for i in pick if (key, int(i)) not in kept)
+    keys = list(todo)
+    for lo in range(0, len(keys), _ENCODE_CHUNK):
+        chunk = keys[lo:lo + _ENCODE_CHUNK]
+        windows = [todo[k] for k in chunk] * (2 if len(chunk) == 1 else 1)
+        kept.update(zip(chunk, interpret_context(fn, model, windows).values))
 
 
 def _kept_rows(kept: dict, key, pick) -> Tensor:
-    alone = len(pick) == 1
-    return Tensor(np.stack([kept[(key, int(i), alone)] for i in pick]))
+    return Tensor(np.stack([kept[(key, int(i))] for i in pick]))
 
 
 def _infer_picks(fn: InferenceFunction, model: Model, picks, kept: dict) -> list[np.ndarray]:
@@ -394,19 +387,6 @@ def infer_one(
     if not wins:
         raise DataError("no usable context windows")
     return _infer_picks(fn, model, [(0, wins, pick)], {})[0]
-
-
-def _frozen_context_reader(fn: InferenceFunction, model: Model, usable):
-    """``read(idx, pick)`` -> the eval-mode ``interpret_context`` of windows
-    ``pick`` of ``usable[idx]`` for an interpreter training never changes,
-    encoding each window once (see ``_encode_missing``)."""
-    kept: dict[tuple[int, int, bool], np.ndarray] = {}
-
-    def read(idx: int, pick) -> Tensor:
-        _encode_missing(fn, model, [(idx, usable[idx][1], pick)], kept)
-        return _kept_rows(kept, idx, pick)
-
-    return read
 
 
 def train_inference_function(
@@ -452,14 +432,28 @@ def train_inference_function(
         raise TrainingError("every target item has zero usable context windows")
 
     targets = {item: model.table.weights.values[item].copy() for item, _ in usable}
+    # every epoch's (order, kappa, pick), drawn up front: sample_rng is fed by
+    # nothing that training changes, so these are the picks of drawing per step
+    plan = []
+    for _ in range(cfg.epochs):
+        steps = []
+        for idx in sample_rng.permutation(len(usable)):
+            k_avail = len(usable[idx][1])
+            if few_shot.few_shot:
+                kappa = int(sample_rng.integers(1, min(k_avail, few_shot.kappa_max) + 1))
+            else:
+                kappa = min(k_avail, cfg.context_batch_cap)
+            steps.append((idx, sample_rng.choice(k_avail, size=kappa, replace=False)))
+        plan.append(steps)
     # fixed per-item probe subsets for the reported curve (chosen once so the
     # end-of-epoch measurement is deterministic given the seed)
-    probe: list[tuple[int, list[ContextWindow]]] = []
-    for item, wins in usable:
+    probe = []
+    for idx, (_, wins) in enumerate(usable):
         if len(wins) > few_shot.kappa_max:
-            pick = probe_rng.choice(len(wins), size=few_shot.kappa_max, replace=False)
-            wins = [wins[i] for i in np.sort(pick)]
-        probe.append((item, wins))
+            pick = np.sort(probe_rng.choice(len(wins), size=few_shot.kappa_max, replace=False))
+        else:
+            pick = np.arange(len(wins))
+        probe.append((idx, wins, pick))
     trainable = trainable_inference_parameters(fn)
     opt = AdamState(
         peak_lr=cfg.learning_rate,
@@ -468,24 +462,19 @@ def train_inference_function(
     )
     base_params = named_parameters(model)
     frozen = fn.interpreter.frozen
-    if frozen:
-        read_frozen = _frozen_context_reader(fn, model, usable)
-        probe_reps = [interpret_context(fn, model, wins) for _, wins in probe]
+    kept: dict[tuple[int, int], np.ndarray] = {}
+    if frozen and plan:
+        # the interpreter never changes: encode every window read, once
+        _encode_missing(fn, model, [(idx, usable[idx][1], pick) for steps in plan
+                                    for idx, pick in steps] + probe, kept)
     curve: list[float] = []
 
-    for epoch in range(cfg.epochs):
-        order = sample_rng.permutation(len(usable))
-        for idx in order:
+    for epoch, steps in enumerate(plan):
+        for idx, pick in steps:
             item, wins = usable[idx]
-            k_avail = len(wins)
-            if few_shot.few_shot:
-                kappa = int(sample_rng.integers(1, min(k_avail, few_shot.kappa_max) + 1))
-            else:
-                kappa = min(k_avail, cfg.context_batch_cap)
-            pick = sample_rng.choice(k_avail, size=kappa, replace=False)
             if frozen:
                 # outside the tape: gradient provably cannot reach the interpreter
-                reps = read_frozen(idx, pick)
+                reps = _kept_rows(kept, idx, pick)
             with T.Tape() as tape:
                 if not frozen:
                     reps = interpret_context(
@@ -509,11 +498,12 @@ def train_inference_function(
                 # lookups route gradient into the base table; drop it, the
                 # featurizer is not part of the trained function
                 T.reset_grads([t for _, t in base_params])
+        if not frozen:
+            kept.clear()
+            _encode_missing(fn, model, probe, kept)
         dists = []
-        for i, (item, wins) in enumerate(probe):
-            reps = probe_reps[i] if frozen else interpret_context(fn, model, wins)
-            e_hat = aggregate(fn, reps).values[0]
-            delta = e_hat - targets[item]
+        for idx, _, pick in probe:
+            delta = aggregate(fn, _kept_rows(kept, idx, pick)).values[0] - targets[usable[idx][0]]
             dists.append(float(np.dot(delta, delta)))
         curve.append(float(np.mean(dists)))
     return fn, curve, skipped

@@ -28,7 +28,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "sum_",
     "mean_",
@@ -86,31 +85,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape})"
-
-    # arithmetic sugar; all work is done by the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -216,17 +190,6 @@ def sub(a, b) -> Tensor:
             return
         _accum(a, _unbroadcast(g, av.shape))
         _accum(b, _unbroadcast(-g, bv.shape))
-
-    _record(_bw)
-    return out
-
-
-def neg(a) -> Tensor:
-    out = Tensor._wrap(-_val(a))
-
-    def _bw():
-        if out.grad is not None:
-            _accum(a, -out.grad)
 
     _record(_bw)
     return out

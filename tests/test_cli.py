@@ -93,6 +93,41 @@ def test_invalid_values_exit_2_before_touching_data(tmp_path, patch):
     assert run("--config", path, "ingest") == 2
 
 
+@pytest.mark.parametrize("patch", [
+    {"evaluate": {"batch_size": -3}},
+    {"evaluate": {"batch_size": 0}},
+    {"cities": {"context_batch_cap": 0}},
+    {"evaluate": {"n_negatives": -1}},
+    {"pretrain": {"d": "24"}},
+    {"cities": {"epochs": "2"}},
+    {"cities": {"epochs": 2.0}},
+    {"cities": {"few_shot": "no"}},
+    {"cities": {"omega1": True}},
+    {"dataset": {"min_actions": "x"}},
+    {"evaluate": {"seed": "x"}},
+    {"evaluate": {"seed": -1}},
+    {"seed": -1},
+    {"sweep": {"values": ["a"]}},
+    {"sweep": {"values": [True]}},
+    {"sweep": {"values": 0.5}},
+], ids=lambda patch: json.dumps(patch))
+def test_mistyped_or_out_of_range_config_exits_2_with_one_line(workspace, tmp_path, capsys,
+                                                               patch):
+    # the smoke pipeline's config with one value replaced: every command
+    # must refuse it up front, before any artifact is read or written
+    cfg = json.loads(open(workspace["config"], encoding="utf-8").read())
+    for key, value in patch.items():
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg["out"] = str(tmp_path / "run")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("--config", path, "apply-eval") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run("--config", tmp_path / "nope.json", "ingest") == 2
 

@@ -36,7 +36,6 @@ from tailrec.repair import (
     save_inference_function,
     train_inference_function,
     trainable_inference_parameters,
-    _frozen_context_reader,
 )
 
 from repair_metrics import nearest_head_distance, reproduction_stats
@@ -299,19 +298,69 @@ def test_frozen_interpreter_never_moves():
         assert np.array_equal(t.values, base[name.replace("interpreter.", "encoder.")].values)
 
 
+@pytest.mark.parametrize("chunk", [1024, 2])
 @pytest.mark.parametrize("variant", ["transformer", "gru"])
-def test_frozen_reader_gives_the_vectors_of_encoding_each_pick(variant):
-    # training reads a frozen interpreter's window vectors from this cache;
-    # each read must be bitwise what encoding the pick itself gives, or the
-    # trained function would drift from the uncached one
+def test_encode_missing_gives_the_vectors_of_encoding_each_pick(monkeypatch, variant, chunk):
+    # training and inference read window vectors from this cache; each read
+    # must be bitwise what encoding the pick in one batch gives, or the
+    # trained function would drift from the uncached one. Lone picks, lone
+    # leftovers ((0, [3, 0]) adds only window 0) and, with a chunk of 2, lone
+    # last chunks are encoded beside a copy, never in a one-row product
     model = tiny_model(variant, seed=2)
     fn = default_fn(model)
     usable = [(cs.item, list(cs.windows)) for cs in small_sets(n_targets=2, k=6)]
-    read = _frozen_context_reader(fn, model, usable)
+    monkeypatch.setattr(repair, "_ENCODE_CHUNK", chunk)
+    sizes = spy_interpret(monkeypatch)
+    kept = {}
     for idx, pick in [(0, [4]), (0, [1, 3, 5]), (0, [3, 0]), (0, [4]), (0, [5, 2, 1, 0, 3, 4]),
-                      (1, [2, 5]), (1, [5]), (1, [5, 2])]:
-        direct = interpret_context(fn, model, [usable[idx][1][i] for i in pick]).values
-        assert np.array_equal(read(idx, np.array(pick)).values, direct), (idx, pick)
+                      (1, [2, 5]), (1, [5]), (1, [5, 2]), (1, [0, 1, 3])]:
+        wins = usable[idx][1]
+        repair._encode_missing(fn, model, [(idx, wins, np.array(pick))], kept)
+        batch = [wins[i] for i in pick] + [wins[(pick[0] + 1) % 6]] * (len(pick) == 1)
+        direct = interpret_context(fn, model, batch).values[:len(pick)]
+        assert np.array_equal(repair._kept_rows(kept, idx, pick).values, direct), (idx, pick)
+    assert len(kept) == 6 + 5 and min(sizes) >= 2
+
+
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_kept_vector_is_its_row_in_any_batch_of_two_or_more(variant):
+    model = tiny_model(variant, seed=6)
+    fn = default_fn(model)
+    wins = [w for cs in small_sets(n_targets=3, k=3, rng_seed=4) for w in cs.windows]
+    kept = {}
+    repair._encode_missing(fn, model, [(0, wins, [j]) for j in range(len(wins))], kept)
+    alone = {}
+    for j in range(len(wins)):
+        repair._encode_missing(fn, model, [(j, wins, [j])], alone)
+    rng = np.random.default_rng(8)
+    for size in range(2, len(wins) + 1):
+        order = rng.permutation(len(wins))[:size]
+        rows = interpret_context(fn, model, [wins[j] for j in order]).values
+        for row, j in zip(rows, order):
+            assert np.array_equal(row, kept[(0, int(j))]), (size, j)
+            assert np.array_equal(row, alone[(int(j), int(j))]), (size, j)
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_frozen_training_encodes_each_window_read_once(monkeypatch, variant, chunk):
+    # every step's pick and the probe are known before the first step, so a
+    # frozen interpreter is run once per chunk of the distinct windows read
+    model = tiny_model(variant)
+    calls = []
+
+    def spy(fn, model, windows, *args, **kwargs):
+        calls.append([id(w) for w in windows])
+        return interpret_context(fn, model, windows, *args, **kwargs)
+    monkeypatch.setattr(repair, "interpret_context", spy)
+    monkeypatch.setattr(repair, "_ENCODE_CHUNK", chunk)
+    cfg = InferenceTrainConfig(epochs=3, dropout_rate=0.0, phi_alpha_frozen=True)
+    train_inference_function(model, small_sets(n_targets=5, k=4), FewShotConfig(kappa_max=3),
+                             cfg)
+    distinct = {w for call in calls for w in call}
+    assert len(calls) <= -(-len(distinct) // chunk)
+    assert sum(len(set(call)) for call in calls) == len(distinct)  # none encoded twice
+    assert min(len(call) for call in calls) >= 2
 
 
 def test_unfrozen_interpreter_moves_but_base_model_does_not():
@@ -473,31 +522,31 @@ def spy_interpret(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("chunk", [1024, 4, 2])
+@pytest.mark.parametrize("chunk", [1024, 4, 3, 2])
 @pytest.mark.parametrize("variant", ["transformer", "gru"])
 def test_batched_inference_is_bitwise_the_per_item_loop(monkeypatch, variant, chunk):
-    # picks of 4 and 5 windows give 9 to batch: with a chunk of 2 or 4 the
-    # last chunk would hold one window, which must be folded into the one
-    # before it; the one-window item is still encoded alone
+    # picks of 1, 4 and 5 windows give 10 to encode: with a chunk of 3 the
+    # last chunk holds one window, and infer_one encodes the one-window item
+    # by itself; neither may run a one-row product
     model = tiny_model(variant, seed=3)
     fn = default_fn(model)
     part = head_tail_partition(head=range(10), tail=range(10, N_ITEMS))
     sets = mixed_tail_sets()
     for seed in (21, None):
+        monkeypatch.setattr(repair, "_ENCODE_CHUNK", chunk)
+        sizes = spy_interpret(monkeypatch)
         rng = None if seed is None else np.random.default_rng(seed)
         want = {cs.item: infer_one(fn, model, cs.windows, rng=rng, context_batch_cap=5)
                 for cs in sets if cs.windows}
         after_loop = None if rng is None else rng.random()
+        n_loop = len(sizes)
 
-        monkeypatch.setattr(repair, "_ENCODE_CHUNK", chunk)
-        sizes = spy_interpret(monkeypatch)
         rng = None if seed is None else np.random.default_rng(seed)
         entries = infer_embeddings(fn, model, sets, part, rng=rng, context_batch_cap=5)
         monkeypatch.undo()
 
-        sizes.sort()
-        assert sizes[0] == 1 and sizes[1] >= 2  # only the one-window pick runs alone
-        assert sum(sizes) == 1 + 4 + 5 and sizes[-1] <= chunk + 1
+        assert min(sizes) >= 2 and max(sizes) <= chunk
+        assert len(sizes) - n_loop == -(-(1 + 4 + 5) // chunk)
         if rng is not None:
             assert rng.random() == after_loop  # the same draws, in the same order
         for e in entries:

@@ -71,10 +71,6 @@ def test_mul_scalar_broadcast_grad():
     check_op(lambda a, b: T.mul(a, b), [(5,), (1,)])
 
 
-def test_neg_grad():
-    check_op(lambda a: T.neg(a), [(4, 2)])
-
-
 def test_matmul_grad():
     check_op(lambda a, b: T.matmul(a, b), [(3, 4), (4, 5)])
 
