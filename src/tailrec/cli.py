@@ -68,6 +68,8 @@ from .repair import (
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
+BASELINES = ("pop", "spop", "fomc", "rerank")
+
 
 DEFAULT_CONFIG = {
     "dataset": {"path": "", "format": "csv", "min_actions": 5},
@@ -176,9 +178,17 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"dataset.format must be csv or jsonl, got {cfg['dataset']['format']!r}")
     if cfg["sweep"]["parameter"] not in ("tau", "kappa"):
         raise ConfigError(f"sweep.parameter must be tau or kappa, got {cfg['sweep']['parameter']!r}")
+    if cfg["evaluate"]["negative_source"] not in ("full", "test"):
+        raise ConfigError("evaluate.negative_source must be full or test, "
+                          f"got {cfg['evaluate']['negative_source']!r}")
+    if cfg["baseline"]["name"] not in BASELINES:
+        raise ConfigError(f"baseline.name must be one of {', '.join(BASELINES)}, "
+                          f"got {cfg['baseline']['name']!r}")
     values = cfg["sweep"]["values"]
     if not values or not all(_same_type(v, 0.0) for v in values):
         raise ConfigError(f"sweep.values must be a non-empty list of numbers, got {json.dumps(values)}")
+    if cfg["sweep"]["parameter"] == "kappa":
+        _check_sweep_values("kappa", [float(v) for v in values])
     bounded = [("seed", cfg["seed"], 0), ("evaluate.seed", cfg["evaluate"]["seed"], 0)] + [
         (f"{section}.{name}", cfg[section][name], 1) for section, name in (
             ("pretrain", "batch_size"), ("pretrain", "n_negatives"), ("evaluate", "batch_size"),
@@ -632,10 +642,14 @@ def cmd_baseline(cfg, args):
     return {"store": store["dataset_hash"]}, [path]
 
 
-def cmd_sweep(cfg, args):
-    catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
-    fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
+def _check_sweep_values(parameter: str, values: list[float]) -> None:
+    if parameter == "kappa" and any(v < 1 or not v.is_integer() for v in values):
+        raise ConfigError(f"kappa sweep values must be whole numbers >= 1, got {values}")
+    if parameter == "tau" and any(not 0.0 < v < 1.0 for v in values):
+        raise ConfigError("tau sweep values must lie strictly between 0 and 1")
 
+
+def cmd_sweep(cfg, args):
     parameter = getattr(args, "parameter", None) or cfg["sweep"]["parameter"]
     if getattr(args, "values", None):
         try:
@@ -644,10 +658,9 @@ def cmd_sweep(cfg, args):
             raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
     else:
         values = [float(v) for v in cfg["sweep"]["values"]]
-    if parameter == "kappa" and any(v < 1 for v in values):
-        raise ConfigError("kappa sweep values must be >= 1")
-    if parameter == "tau" and any(not 0.0 < v < 1.0 for v in values):
-        raise ConfigError("tau sweep values must lie strictly between 0 and 1")
+    _check_sweep_values(parameter, values)
+    catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
+    fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
 
     ev = cfg["evaluate"]
     run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
@@ -848,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint")
     sp.add_argument("--cities", help="inference-function file (default: <out>/cities_<variant>.json)")
     sp = sub.add_parser("baseline", parents=[common], help="evaluate a non-learned ranker")
-    sp.add_argument("--name", choices=["pop", "spop", "fomc", "rerank"])
+    sp.add_argument("--name", choices=BASELINES)
     sp.add_argument("--checkpoint", help="needed for rerank")
     sp = sub.add_parser("sweep", parents=[common], help="evaluate across tau or kappa values")
     sp.add_argument("--parameter", choices=["tau", "kappa"])

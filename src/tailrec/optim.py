@@ -3,6 +3,13 @@
 The L2 term is applied inside the optimizer as a gradient penalty
 ``g + l2 * p`` rather than added to the loss, so loss values reported during
 training are pure data terms.
+
+The state owns one flat float64 vector each for the parameter values, their
+gradients and the two moments. From the first step on, every parameter's
+``values`` and ``grad`` are reshaped views into the value and gradient
+vectors, so the tape accumulates straight into the store and one step is a
+handful of whole-vector operations, not a loop over tensors. The update is
+elementwise, so it is bitwise the per-tensor update.
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ __all__ = ["AdamState", "adam_step", "effective_lr"]
 
 @dataclass
 class AdamState:
-    """Per-parameter-list optimizer state.
+    """Optimizer state of one parameter list.
 
     ``t`` counts completed steps; the warmup factor for the step being taken
     is ``min((t+1)/warmup_steps, 1)`` so the very first step already moves
-    the parameters.
+    the parameters. ``values``, ``grad``, ``m`` and ``v`` are the flat store,
+    built at the first step.
     """
 
     peak_lr: float
@@ -32,17 +40,52 @@ class AdamState:
     epsilon: float = 1e-8
     l2_coefficient: float = 0.0
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    values: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    _slots: list = field(default_factory=list, repr=False)  # (param, values view, grad view)
+    _s1: np.ndarray | None = field(default=None, repr=False)  # work buffers of one step
+    _s2: np.ndarray | None = field(default=None, repr=False)
 
-    def _ensure(self, params: list[Tensor]) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(p.values) for p in params]
-            self.v = [np.zeros_like(p.values) for p in params]
-        elif len(self.m) != len(params):
+    def _bind(self, params: list[Tensor]) -> None:
+        """Copy the parameters into a new store and point them at it."""
+        sizes = [p.values.size for p in params]
+        total = sum(sizes)
+        self.values, self.grad = np.empty(total), np.empty(total)
+        self.m, self.v = np.zeros(total), np.zeros(total)
+        self._s1, self._s2 = np.empty(total), np.empty(total)
+        lo = 0
+        for p, n in zip(params, sizes):
+            vals = self.values[lo:lo + n].reshape(p.values.shape)
+            self._slots.append((p, vals, self.grad[lo:lo + n].reshape(p.values.shape)))
+            vals[...] = p.values
+            p.values = vals
+            lo += n
+
+    def _gather(self, params: list[Tensor]) -> None:
+        """Make every parameter's values and grad the store's views again:
+        values the caller reassigned and gradients the tape did not write
+        into the store (assigned, or freshly taken) are copied in; a grad
+        of None reads as zero."""
+        if not self._slots:
+            self._bind(params)
+        elif len(params) != len(self._slots) or any(
+                p is not q for p, (q, _, _) in zip(params, self._slots)):
             raise ValueError(
-                f"optimizer state tracks {len(self.m)} parameters, got {len(params)}"
+                f"optimizer state tracks {len(self._slots)} parameters, got a different list "
+                f"of {len(params)}"
             )
+        for p, vals, grad in self._slots:
+            if p.values is not vals:
+                vals[...] = p.values
+                p.values = vals
+            if p.grad is not grad:
+                if p.grad is None:
+                    grad.fill(0.0)
+                else:
+                    grad[...] = p.grad
+                p.grad = grad
 
 
 def effective_lr(state: AdamState) -> float:
@@ -53,32 +96,36 @@ def effective_lr(state: AdamState) -> float:
 
 
 def adam_step(state: AdamState, params: list[Tensor]) -> None:
-    """One in-place Adam update over ``params`` using their ``.grad`` buffers.
+    """One in-place Adam update over ``params`` using their ``.grad`` buffers,
+    which it then zeroes.
 
     A parameter with ``grad=None`` is treated as having zero gradient (it
     still decays under L2 and its moments update). If any gradient contains
-    a non-finite value the step aborts atomically before touching state.
+    a non-finite value the step aborts before touching values, moments or
+    the step count. Every call must pass the same parameter list.
     """
-    state._ensure(params)
-    grads = []
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.values)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient; step aborted")
-        grads.append(g)
+    state._gather(params)
+    g = state.grad
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite gradient; step aborted")
 
     lr = effective_lr(state)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if state.l2_coefficient:
-            g = g + state.l2_coefficient * p.values
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p.values -= lr * mhat / (np.sqrt(vhat) + state.epsilon)
+    # the per-tensor expressions, evaluated in the same order into two
+    # preallocated buffers: large temporaries would cost more than the arithmetic
+    m, v, p, s1, s2 = state.m, state.v, state.values, state._s1, state._s2
+    if state.l2_coefficient:
+        g = np.add(g, np.multiply(state.l2_coefficient, p, out=s1), out=s1)  # g + l2 * p
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=s2)
+    v *= b2
+    v += np.multiply(np.multiply(1.0 - b2, g, out=s2), g, out=s2)  # (1 - b2) * g * g
+    mhat = np.divide(m, bc1, out=s1)
+    vhat = np.divide(v, bc2, out=s2)
+    step = np.multiply(lr, mhat, out=s1)
+    step /= np.add(np.sqrt(vhat, out=s2), state.epsilon, out=s2)
+    p -= step  # lr * mhat / (sqrt(vhat) + eps)
+    state.grad.fill(0.0)

@@ -251,7 +251,6 @@ def pretrain(
         losses = []
         for step, lo in enumerate(range(0, len(order), config.batch_size)):
             sel = order[lo : lo + config.batch_size]
-            T.reset_grads(tensors)
             with Tape() as tape:
                 if config.variant == "transformer":
                     loss = _masked_positions_loss(model, inputs[sel], targets[sel], dropout_rng)

@@ -33,7 +33,9 @@ keyed by (item, window index). Every caller picks its windows first and then
 encodes all those not yet kept in a few batched calls: inference picks the
 windows of every item, and training draws every epoch's picks before its
 first step, so a frozen interpreter encodes everything the steps and the
-end-of-epoch probe read at once.
+end-of-epoch probe read at once. The eval-mode aggregation of those picks
+(inference and the probe) is one ``aggregate`` call per pick size, over the
+stack of all same-size sets; training stays one item per step.
 """
 
 from __future__ import annotations
@@ -297,20 +299,41 @@ def aggregate(
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
 ) -> Tensor:
-    """Combine (K, d) window vectors into one (1, d) embedding.
+    """Combine (K, d) window vectors into one (1, d) embedding, or a
+    (P, K, d) stack of P same-size sets into (P, d), one row per set.
 
     No positional encoding and a mean pool keep the stage permutation
-    invariant: window order carries no information.
+    invariant: window order carries no information. A set's row does not
+    depend on the sets stacked beside it, except that a one-row output
+    product rounds differently; so in eval mode a lone set runs beside a
+    copy of itself and only its row is kept, as ``_encode_missing`` does.
     """
-    k, d = reprs.shape
-    h = T.reshape(reprs, (1, k, d))
-    additive = np.zeros((1, 1, 1, k))
+    h = reprs if reprs.ndim == 3 else T.reshape(reprs, (1,) + reprs.shape)
+    lone = h.shape[0] == 1 and not training
+    if lone:
+        h = T.take_rows(h, [0, 0])
+    additive = np.zeros((1, 1, 1, h.shape[1]))
     rate = dropout_rate if training else 0.0
     agg = fn.agg
     for block in agg.blocks:
         h = transformer_block(block, h, additive, agg.n_heads, rate, rng)
-    pooled = T.reshape(T.mean_(h, axis=1), (1, d))
-    return T.add(T.matmul(pooled, agg.out_w), agg.out_b)
+    out = T.add(T.matmul(T.mean_(h, axis=1), agg.out_w), agg.out_b)
+    return T.take_rows(out, [0]) if lone else out
+
+
+def _aggregate_picks(fn: InferenceFunction, picks, kept: dict) -> list[np.ndarray]:
+    """The eval-mode embedding of every (key, windows, pick) triple whose
+    window vectors are all in ``kept``: one ``aggregate`` call per pick size,
+    over the stack of all picks of that size."""
+    by_size: dict[int, list[int]] = {}
+    for j, (_, _, pick) in enumerate(picks):
+        by_size.setdefault(len(pick), []).append(j)
+    out: list = [None] * len(picks)
+    for rows in by_size.values():
+        stack = np.array([[kept[(picks[j][0], int(i))] for i in picks[j][2]] for j in rows])
+        for j, vec in zip(rows, aggregate(fn, Tensor._wrap(stack)).values):
+            out[j] = vec
+    return out
 
 
 # Windows per interpret_context call when the read path encodes many at
@@ -366,8 +389,7 @@ def _infer_picks(fn: InferenceFunction, model: Model, picks, kept: dict) -> list
     infinite row."""
     with np.errstate(over="ignore", invalid="ignore"):
         _encode_missing(fn, model, picks, kept)
-        vectors = [aggregate(fn, _kept_rows(kept, key, pick)).values[0].copy()
-                   for key, _, pick in picks]
+        vectors = _aggregate_picks(fn, picks, kept)
     for (item, _, _), vec in zip(picks, vectors):
         if not np.isfinite(vec).all():
             raise DataError(f"inferred vector for item {item} is not finite")
@@ -454,7 +476,7 @@ def train_inference_function(
         else:
             pick = np.arange(len(wins))
         probe.append((idx, wins, pick))
-    trainable = trainable_inference_parameters(fn)
+    trainable = [t for _, t in trainable_inference_parameters(fn)]
     opt = AdamState(
         peak_lr=cfg.learning_rate,
         warmup_steps=cfg.warmup_steps,
@@ -490,10 +512,9 @@ def train_inference_function(
                     raise TrainingError(f"distance diverged (epoch {epoch}, item {item})")
                 tape.backward(loss)
             try:
-                adam_step(opt, [t for _, t in trainable])
+                adam_step(opt, trainable)
             except FloatingPointError as exc:
                 raise TrainingError(f"training diverged (epoch {epoch}, item {item})") from exc
-            T.reset_grads([t for _, t in trainable])
             if not frozen:
                 # lookups route gradient into the base table; drop it, the
                 # featurizer is not part of the trained function
@@ -502,8 +523,8 @@ def train_inference_function(
             kept.clear()
             _encode_missing(fn, model, probe, kept)
         dists = []
-        for idx, _, pick in probe:
-            delta = aggregate(fn, _kept_rows(kept, idx, pick)).values[0] - targets[usable[idx][0]]
+        for (idx, _, _), vec in zip(probe, _aggregate_picks(fn, probe, kept)):
+            delta = vec - targets[usable[idx][0]]
             dists.append(float(np.dot(delta, delta)))
         curve.append(float(np.mean(dists)))
     return fn, curve, skipped

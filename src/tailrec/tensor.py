@@ -142,15 +142,21 @@ def _val(x) -> np.ndarray:
 
 
 def _accum(t, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``. The first gradient is taken as a C-order
+    copy: a closure may hand the same array to two operands, and a gradient
+    in another layout would reach BLAS in it and round differently."""
     if not isinstance(t, Tensor):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.array(g, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -240,7 +246,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
             return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, av.shape).copy())
+        _accum(a, np.broadcast_to(g, av.shape))
 
     _record(_bw)
     return out

@@ -198,6 +198,18 @@ def test_gradient_suite_every_layer_matches_finite_differences():
         ("out_b", fn.agg.out_b), ("input", reps),
     ], fwd_agg, failures)
 
+    # the probe and the read path aggregate a (P, K, d) stack of sets at once
+    stack = T.Tensor(rng.standard_normal((3, 4, 8)) * 0.4)
+    w_stack = rng.standard_normal((3, 8))
+
+    def fwd_agg_stack():
+        return T.sum_(T.mul(aggregate(fn, stack), w_stack))
+
+    _check_layer("aggregator-stack", [
+        ("attn.wv", agg.wv), ("ln2.gain", agg.ln2_gain), ("out_w", fn.agg.out_w),
+        ("input", stack),
+    ], fwd_agg_stack, failures)
+
     elapsed = time.time() - t0
     assert not failures, "; ".join(failures)
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"

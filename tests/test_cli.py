@@ -110,6 +110,10 @@ def test_invalid_values_exit_2_before_touching_data(tmp_path, patch):
     {"sweep": {"values": ["a"]}},
     {"sweep": {"values": [True]}},
     {"sweep": {"values": 0.5}},
+    {"sweep": {"parameter": "kappa", "values": [1.5, 1]}},
+    {"sweep": {"parameter": "kappa", "values": [0]}},
+    {"evaluate": {"negative_source": "bogus"}},
+    {"baseline": {"name": "bogus"}},
 ], ids=lambda patch: json.dumps(patch))
 def test_mistyped_or_out_of_range_config_exits_2_with_one_line(workspace, tmp_path, capsys,
                                                                patch):
@@ -504,6 +508,18 @@ def test_failed_sweep_write_keeps_the_previous_csv(workspace, monkeypatch, capsy
 def test_sweep_tau_rejects_out_of_range_values(workspace):
     assert run("--config", workspace["config"], "sweep",
                "--parameter", "tau", "--values", "0.0,0.5") == 2
+
+
+@pytest.mark.parametrize("values", ["1.5,1", "0,2"])
+def test_sweep_kappa_rejects_fractional_values_before_reading_data(tmp_path, capsys, values):
+    # a fractional cap would be read as its floor; no store exists here, so
+    # a data error would mean the values were checked after the data
+    cfg = write_config(tmp_path / "c.json", dataset_path="/nonexistent.csv",
+                       out=str(tmp_path / "empty"))
+    capsys.readouterr()
+    assert run("--config", cfg, "sweep", "--parameter", "kappa", "--values", values) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kappa sweep values") and err.count("\n") == 1, err
 
 
 def test_sweep_tau_runs(workspace):

@@ -263,6 +263,24 @@ def test_single_window_aggregation_deterministic():
     assert a.shape == (1, D)
 
 
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_stacked_aggregation_is_bitwise_the_per_set_calls(variant):
+    # the probe and the read path aggregate all sets of one size in one call;
+    # each row must be what aggregating its set alone gives
+    model = tiny_model(variant, seed=5)
+    fn = default_fn(model)
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 7):
+        for k in (1, 2, 3, 5, 10):
+            stack = rng.standard_normal((p, k, D))
+            rows = aggregate(fn, T.Tensor(stack)).values
+            assert rows.shape == (p, D)
+            for j in range(p):
+                assert np.array_equal(rows[j], aggregate(fn, T.Tensor(stack[j])).values[0]), (p, k)
+            assert np.array_equal(aggregate(fn, T.Tensor(stack[:1])).values,
+                                  aggregate(fn, T.Tensor(stack[0])).values)
+
+
 # ------------------------------------------------------------ training
 
 
@@ -361,6 +379,25 @@ def test_frozen_training_encodes_each_window_read_once(monkeypatch, variant, chu
     assert len(calls) <= -(-len(distinct) // chunk)
     assert sum(len(set(call)) for call in calls) == len(distinct)  # none encoded twice
     assert min(len(call) for call in calls) >= 2
+
+
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_frozen_training_aggregates_once_per_step_and_pick_size(monkeypatch, variant):
+    # one training call per step; the end-of-epoch probe stacks its sets by
+    # pick size, one eval call per size
+    model = tiny_model(variant)
+    calls = []
+
+    def spy(fn, reprs, training=False, *args, **kwargs):
+        calls.append(training)
+        return aggregate(fn, reprs, training, *args, **kwargs)
+    monkeypatch.setattr(repair, "aggregate", spy)
+    sets = [ContextSet(item=cs.item, windows=cs.windows[:k])
+            for cs, k in zip(small_sets(n_targets=6, k=5), (1, 2, 2, 5, 5, 5))]
+    cfg = InferenceTrainConfig(epochs=3, dropout_rate=0.0, phi_alpha_frozen=True)
+    train_inference_function(model, sets, FewShotConfig(kappa_max=3), cfg)
+    assert calls.count(True) == 3 * len(sets)
+    assert calls.count(False) == 3 * len({1, 2, 3})  # probe picks: 1, 2 and 3 windows
 
 
 def test_unfrozen_interpreter_moves_but_base_model_does_not():

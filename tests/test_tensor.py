@@ -376,3 +376,26 @@ def test_unbroadcast_roundtrip_property(seed):
     tape.backward(loss)
     np.testing.assert_allclose(a.grad, np.full((3, 1), 4.0))
     np.testing.assert_allclose(b.grad, np.full((1, 4), 3.0))
+
+
+def test_first_gradient_is_an_owned_c_order_copy():
+    # add hands one gradient array to both operands: each must own a copy
+    x, y = Tensor(np.ones((2, 3))), Tensor(np.full((2, 3), 2.0))
+    w = np.arange(6.0).reshape(2, 3)
+    with Tape() as tape:
+        loss = T.sum_(T.mul(T.add(x, y), w))
+    tape.backward(loss)
+    x.grad[0, 0] = 99.0
+    assert np.array_equal(y.grad, w)
+    # a transposed gradient is stored C-contiguous, as the values are laid out
+    a = Tensor(np.ones((3, 4)))
+    with Tape() as tape:
+        loss = T.sum_(T.mul(T.transpose(a, (1, 0)), np.arange(12.0).reshape(4, 3)))
+    tape.backward(loss)
+    assert a.grad.flags.c_contiguous
+    assert np.array_equal(a.grad, np.arange(12.0).reshape(4, 3).T)
+    # a later gradient adds into the owned buffer
+    with Tape() as tape:
+        loss = T.sum_(T.mul(x, 2.0))
+    tape.backward(loss)
+    assert x.grad[0, 0] == 101.0 and x.grad[1, 2] == w[1, 2] + 2.0
