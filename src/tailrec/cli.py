@@ -33,7 +33,6 @@ from .data import (
     extract_context_sets,
     ingest,
     partition_head_tail,
-    sample_negatives,
     split_leave_one_out,
 )
 from .artifacts import read_json, write_json, write_text
@@ -384,10 +383,6 @@ def _load_base(cfg, checkpoint: str | None):
     return catalog, split, store, model, path
 
 
-def _sorted_sets(sets_by_item: dict) -> list:
-    return [cs for _, cs in sorted(sets_by_item.items())]
-
-
 def _fewshot(cfg) -> FewShotConfig:
     c = cfg["cities"]
     return FewShotConfig(
@@ -404,13 +399,28 @@ def _paired_evaluation(cfg, split, catalog, max_len: int):
     compares meets the same negatives."""
     ev = cfg["evaluate"]
     candidates = build_test_candidates(
-        split, catalog, ev["n_negatives"],
-        np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
+        split.test, split.full_sequences(), catalog,
+        ev["n_negatives"], np.random.default_rng([ev["seed"], 4]), ev["negative_source"])
 
     def run(ranker, partition):
-        return evaluate(ranker, split, partition, catalog, n_negatives=ev["n_negatives"],
-                        max_len=max_len, batch_size=ev["batch_size"], candidates=candidates)
+        return evaluate(ranker, split, partition, catalog, candidates,
+                        max_len=max_len, batch_size=ev["batch_size"])
     return run
+
+
+def _repair_and_rank(cfg, fn, model, sets_by_item: dict, partition, cap: int, run,
+                     cache: dict | None = None):
+    """Infer the rows of ``partition``'s tail items from their context sets,
+    reading at most ``cap`` contexts each, write them into a copy of
+    ``model`` and rank the copy with ``run`` (``_paired_evaluation``).
+    -> (inferred, repaired model, report). apply-eval's "after" report and
+    each sweep row come from here, so the two agree at the same τ and cap."""
+    inferred = infer_embeddings(
+        fn, model, [sets_by_item[int(i)] for i in partition.tail_set], partition,
+        rng=np.random.default_rng([cfg["evaluate"]["seed"], 9]),
+        context_batch_cap=cap, cache=cache)
+    repaired = apply_embeddings(model, inferred)
+    return inferred, repaired, run(ModelRanker(repaired), partition)
 
 
 def _report_doc(report: dict, cfg, lineage: dict) -> dict:
@@ -493,7 +503,10 @@ def cmd_pretrain(cfg, args):
             args.resume_from, expected_catalog_hash=catalog_hash(catalog.item_ids))
         if initial.config.variant != cfg["variant"]:
             raise DataError(f"{args.resume_from} holds a {initial.config.variant} model")
-        offset = int(meta0.get("epochs_completed", 0))
+        offset = meta0.get("epochs_completed", 0)
+        if type(offset) is not int or offset < 0:
+            raise DataError(f"{args.resume_from}: meta.epochs_completed must be a whole number "
+                            f">= 0, got {json.dumps(offset)}")
 
     model, history = pretrain(split, catalog, pc, initial_model=initial, epoch_offset=offset)
 
@@ -527,7 +540,7 @@ def cmd_train_cities(cfg, args):
 
     few = _fewshot(cfg)
     w1, w2 = few.resolved_windows(cfg["variant"], model.config.max_len)
-    sets = _sorted_sets(extract_context_sets(split, targets, w1, w2))
+    sets = [cs for _, cs in sorted(extract_context_sets(split, targets, w1, w2).items())]
 
     c = cfg["cities"]
     tc = InferenceTrainConfig(
@@ -572,16 +585,10 @@ def cmd_apply_eval(cfg, args):
     catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
     fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
     part = partition_head_tail(catalog, cfg["tau"])
-
-    tail_sets = _sorted_sets(
-        extract_context_sets(split, [int(i) for i in part.tail_set], fn.omega1, fn.omega2))
-    ev = cfg["evaluate"]
-    inferred = infer_embeddings(
-        fn, model, tail_sets, part,
-        rng=np.random.default_rng([ev["seed"], 9]),
-        context_batch_cap=cfg["cities"]["context_batch_cap"],
-    )
-    repaired = apply_embeddings(model, inferred)
+    run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
+    inferred, repaired, after = _repair_and_rank(
+        cfg, fn, model, extract_context_sets(split, part.tail_set, fn.omega1, fn.omega2), part,
+        cfg["cities"]["context_batch_cap"], run)
     inferred_items = [e.item for e in inferred if e.provenance == "inferred"]
 
     applied_path = os.path.join(cfg["out"], f"applied_{cfg['variant']}.json")
@@ -592,9 +599,7 @@ def cmd_apply_eval(cfg, args):
         "inferred_items": inferred_items,
     })
 
-    run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
     before = run(ModelRanker(model), part)
-    after = run(ModelRanker(repaired), part)
 
     lineage = {
         "dataset_hash": store["dataset_hash"],
@@ -662,7 +667,6 @@ def cmd_sweep(cfg, args):
     catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
     fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
 
-    ev = cfg["evaluate"]
     run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
     all_sets = extract_context_sets(split, range(catalog.n_items), fn.omega1, fn.omega2)
     cache = {}  # window vectors; every value indexes the windows of all_sets
@@ -675,12 +679,7 @@ def cmd_sweep(cfg, args):
         else:
             part_v = partition_head_tail(catalog, cfg["tau"])
             cap = int(v)  # contexts available per tail item at inference
-        tail_sets = [all_sets[int(i)] for i in part_v.tail_set]
-        inferred = infer_embeddings(fn, model, tail_sets, part_v,
-                                    rng=np.random.default_rng([ev["seed"], 9]),
-                                    context_batch_cap=cap, cache=cache)
-        repaired = apply_embeddings(model, inferred)
-        report = run(ModelRanker(repaired), part_v)
+        _, _, report = _repair_and_rank(cfg, fn, model, all_sets, part_v, cap, run, cache)
         rows.append((float(v), report["all"]["hr10"]))
         print(f"{parameter}={v:g}: all hr10 {report['all']['hr10']:.4f}")
 
@@ -711,15 +710,21 @@ def _window_from_ids(payload_window: dict, index_of: dict) -> ContextWindow:
 
 def _read_new_items(path: str, index_of: dict) -> list:
     """-> [(item id, windows, test histories as index lists)] from a new-item
-    context file; a missing or mistyped field is a one-line DataError."""
+    context file. A missing or mistyped field, or an item id that is already
+    in the catalog or comes twice, is a one-line DataError."""
     payload = read_json(path, "context file")
     if not isinstance(payload.get("items"), list):
         raise DataError(f"{path}: 'items' must be a list")
-    out = []
+    out, seen = [], set()
     for entry in payload["items"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("item"), str):
             raise DataError(f"{path}: every entry of 'items' needs an 'item' id string")
         where = f"{path}: new item {entry['item']!r}"
+        if entry["item"] in index_of:
+            raise DataError(f"{where} is already in the catalog")
+        if entry["item"] in seen:
+            raise DataError(f"{where} appears twice")
+        seen.add(entry["item"])
         for key in ("windows", "test_cases"):
             if not isinstance(entry.get(key), list):
                 raise DataError(f"{where}: '{key}' must be a list")
@@ -746,26 +751,26 @@ def cmd_new_item(cfg, args):
     new_items = _read_new_items(contexts_path, catalog.index_of)
 
     ev = cfg["evaluate"]
-    neg_rng = np.random.default_rng([ev["seed"], 5])
     entries, extended = infer_new_items(fn, model, [wins for _, wins, _ in new_items],
                                         seed=[ev["seed"], 9],
                                         context_batch_cap=cfg["cities"]["context_batch_cap"])
-    ranker = ModelRanker(extended)
-    results = []
-    ranks_all = []
+    cases = [(emb.item, hist) for (_, _, case_histories), emb in zip(new_items, entries)
+             for hist in case_histories]
+    if not cases:
+        raise DataError("context file contains no usable test cases")
+    candidates = build_test_candidates(
+        [item for item, _ in cases], [hist for _, hist in cases], catalog, ev["n_negatives"],
+        np.random.default_rng([ev["seed"], 5]), ev["negative_source"])
+    # one case per call keeps each case's scores independent of the other
+    # cases in the file (BLAS may round a batch differently)
+    ranks = rank_cases(ModelRanker(extended),
+                       [np.asarray(hist[-extended.config.max_len:]) for _, hist in cases],
+                       candidates, batch_size=1)
+    results, lo = [], 0
     for (item_id, windows, case_histories), emb in zip(new_items, entries):
-        histories, cands = [], []
-        for hist in case_histories:
-            negatives = sample_negatives(
-                np.asarray(hist, dtype=np.int64), catalog, ev["n_negatives"], neg_rng,
-                source=ev["negative_source"])
-            histories.append(np.asarray(hist[-extended.config.max_len:]))
-            cands.append(np.concatenate([[emb.item], negatives]))
-        if histories:
-            # one case per call keeps each case's scores independent of the
-            # other cases in the file (BLAS may round a batch differently)
-            ranks = rank_cases(ranker, histories, np.stack(cands), batch_size=1)
-            g = _group_metrics(ranks)
+        if case_histories:
+            g = _group_metrics(ranks[lo:lo + len(case_histories)])
+            lo += len(case_histories)
             results.append({
                 "item": item_id,
                 "index": emb.item,
@@ -774,11 +779,8 @@ def cmd_new_item(cfg, args):
                 "hr10": g["hr10"],
                 "mrr": g["mrr"],
             })
-            ranks_all.append(ranks)
 
-    if not ranks_all:
-        raise DataError("context file contains no usable test cases")
-    g = _group_metrics(np.concatenate(ranks_all))
+    g = _group_metrics(ranks)
     overall = {
         "n_items": len(entries),
         "n_test_cases": g["support"],
@@ -814,7 +816,10 @@ def cmd_export_embeddings(cfg, args):
     catalog, split, store = load_store(_store_path(cfg))
     path = getattr(args, "checkpoint", None) or _ckpt_path(cfg)
     model, meta, kind, _ = load_checkpoint(path, expected_catalog_hash=catalog_hash(catalog.item_ids))
-    inferred = set(meta.get("inferred_items", []))
+    inferred = meta.get("inferred_items", [])
+    if not isinstance(inferred, list) or not all(type(i) is int for i in inferred):
+        raise DataError(f"{path}: meta.inferred_items must be a list of item indices")
+    inferred = set(inferred)
 
     out_path = os.path.join(cfg["out"], f"embeddings_{os.path.basename(path).rsplit('.', 1)[0]}.csv")
     weights = model.table.weights.values

@@ -95,8 +95,9 @@ class LeaveOneOutSplit:
     def n_users(self) -> int:
         return len(self.users)
 
-    def full_sequence(self, u: int) -> np.ndarray:
-        return np.concatenate([self.train[u], [self.valid[u], self.test[u]]])
+    def full_sequences(self) -> list[np.ndarray]:
+        """Each user's whole sequence: the items ranking never offers as negatives."""
+        return [np.concatenate([t, [v, s]]) for t, v, s in zip(self.train, self.valid, self.test)]
 
 
 @dataclass(frozen=True)

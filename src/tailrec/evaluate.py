@@ -181,23 +181,27 @@ def _group_metrics(ranks: np.ndarray) -> dict:
 
 
 def build_test_candidates(
-    split: LeaveOneOutSplit,
+    truths,
+    excluded,
     catalog: Catalog,
     n_negatives: int,
     rng: np.random.Generator,
     negative_source: str = "full",
 ) -> np.ndarray:
-    """(n_users, 1 + n_negatives) candidate matrix, truth in column 0.
+    """(len(truths), 1 + n_negatives) candidate rows: ``truths[i]`` in column
+    0, then ``sample_negatives`` of the items outside ``excluded[i]``, drawn
+    from ``rng`` row by row.
 
-    Prebuilding and reusing one matrix makes before/after model comparisons
-    paired: both sides rank against identical negatives.
+    The only place candidates are drawn: validation, the paired test
+    evaluation and new-item ranking all build their rows here, and a command
+    builds its matrix once, so every ranker it compares meets the same
+    negatives.
     """
-    candidates = np.empty((split.n_users, 1 + n_negatives), dtype=np.int64)
-    for u in range(split.n_users):
-        candidates[u, 0] = split.test[u]
-        candidates[u, 1:] = sample_negatives(
-            split.full_sequence(u), catalog, n_negatives, rng, source=negative_source
-        )
+    candidates = np.empty((len(truths), 1 + n_negatives), dtype=np.int64)
+    for i, (truth, items) in enumerate(zip(truths, excluded)):
+        candidates[i, 0] = truth
+        candidates[i, 1:] = sample_negatives(items, catalog, n_negatives, rng,
+                                             source=negative_source)
     return candidates
 
 
@@ -206,31 +210,22 @@ def evaluate(
     split: LeaveOneOutSplit,
     partition: PopularityPartition,
     catalog: Catalog,
-    n_negatives: int = 100,
-    rng: np.random.Generator | None = None,
+    candidates: np.ndarray,
     max_len: int = 50,
     batch_size: int = 256,
-    negative_source: str = "full",
-    candidates: np.ndarray | None = None,
 ) -> dict:
     """Run the leave-one-out protocol and return the grouped metrics report.
 
-    The input for each user is everything before the test item (train prefix
-    plus validation item), capped to the last ``max_len`` entries; the
+    ``candidates`` is the (n_users, 1 + n_negatives) matrix
+    ``build_test_candidates`` draws with truth ``split.test``, truth in column
+    0. The input for each user is everything before the test item (train
+    prefix plus validation item), capped to the last ``max_len`` entries; the
     head-with-tail slice is taken over that capped history. A model ranker
     (``model.ranking_states``) reads all of it for the GRU, while the
     transformer keeps the last ``max_len - 1`` items and reads its state at a
-    [mask] placed directly after them. Pass
-    ``candidates`` to reuse a fixed (n_users, 1 + n_negatives) matrix — truth
-    in column 0 — for before/after comparisons; otherwise they are sampled
-    here from ``rng``.
+    [mask] placed directly after them.
     """
     n_users = split.n_users
-    if candidates is None:
-        if rng is None:
-            raise DataError("evaluate needs an rng when candidates are not supplied")
-        candidates = build_test_candidates(split, catalog, n_negatives, rng, negative_source)
-
     tail_mask = np.zeros(catalog.n_items, dtype=bool)
     tail_mask[partition.tail_set] = True
 

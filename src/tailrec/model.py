@@ -274,7 +274,7 @@ def embed_sequence(
         if table.ln_gain is not None:
             e = T.layer_norm(e, table.ln_gain, table.ln_bias)
     if dropout_rate and training:
-        e = T.dropout(e, dropout_rate, training_flag=True, rng=rng)
+        e = T.dropout(e, dropout_rate, rng)
     return e, real
 
 
@@ -337,11 +337,11 @@ def transformer_block(
         x = T.take_rows(T.reshape(h, (b * l, d)), flat)
     a = _mha(block, h, additive_mask, n_heads, x, rows)
     if dropout_rate:
-        a = T.dropout(a, dropout_rate, True, rng, rows=flat, n_rows=b * l)
+        a = T.dropout(a, dropout_rate, rng, rows=flat, n_rows=b * l)
     a = T.layer_norm(T.add(x, a), block.ln1_gain, block.ln1_bias)
     f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
     if dropout_rate:
-        f = T.dropout(f, dropout_rate, True, rng, rows=flat, n_rows=b * l)
+        f = T.dropout(f, dropout_rate, rng, rows=flat, n_rows=b * l)
     return T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, LeaveOneOutSplit, sample_negatives
+from .data import Catalog, LeaveOneOutSplit
 from .errors import ConfigError, TrainingError
-from .evaluate import ModelRanker, _group_metrics, rank_cases
+from .evaluate import ModelRanker, _group_metrics, build_test_candidates, rank_cases
 from .model import (
     Model,
     ModelConfig,
@@ -172,28 +172,19 @@ def validate(
 ) -> dict:
     """Rank the validation item among fixed candidates; truth sits at column 0.
 
-    Each user's train prefix is ranked by ``evaluate.ModelRanker`` through
-    the batch loop ``evaluate.evaluate`` uses, so validation reads the state
-    evaluation ranks with: the GRU reads the last ``max_len`` items, the
-    transformer keeps the last ``max_len - 1`` and reads the [mask] placed
-    directly after them. Ties break toward lower item index, which can only
-    hurt the truth item. Returns {"hr5", "hr10", "mrr"}.
+    ``candidates`` are the ``evaluate.build_test_candidates`` rows with truth
+    ``split.valid``, drawn once per run. Each user's train prefix is ranked
+    by ``evaluate.ModelRanker`` through ``evaluate.rank_cases``, the batch
+    loop ``evaluate.evaluate`` uses, so validation reads the state evaluation
+    ranks with: the GRU reads the last ``max_len`` items, the transformer
+    keeps the last ``max_len - 1`` and reads the [mask] placed directly after
+    them. Ties break toward lower item index, which can only hurt the truth
+    item. Returns {"hr5", "hr10", "mrr"}.
     """
     ranks = rank_cases(ModelRanker(model), list(split.train), candidates, batch_size)
     metrics = _group_metrics(ranks)
     del metrics["support"]
     return metrics
-
-
-def build_validation_candidates(
-    split: LeaveOneOutSplit, catalog: Catalog, n_negatives: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n_users, 1 + n_negatives): validation truth first, then fixed negatives."""
-    out = np.empty((split.n_users, 1 + n_negatives), dtype=np.int64)
-    for u in range(split.n_users):
-        out[u, 0] = split.valid[u]
-        out[u, 1:] = sample_negatives(split.full_sequence(u), catalog, n_negatives, rng)
-    return out
 
 
 def pretrain(
@@ -226,7 +217,8 @@ def pretrain(
     if config.epochs == 0:
         return model, []
 
-    candidates = build_validation_candidates(split, catalog, config.n_negatives, negative_rng)
+    candidates = build_test_candidates(
+        split.valid, split.full_sequences(), catalog, config.n_negatives, negative_rng)
     opt = AdamState(
         peak_lr=config.learning_rate,
         warmup_steps=config.warmup_steps,

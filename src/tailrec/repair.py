@@ -544,8 +544,8 @@ def infer_embeddings(
     vector; tail rows with none keep the pretrained row (still original).
 
     Every tail item's windows are picked first, in item order, with the cap
-    subsample drawn from ``rng`` as ``infer_one`` draws it; then all picks are
-    encoded in batches and aggregated per item. ``cache`` keeps the window
+    subsample drawn from ``rng`` by ``_pick``; then all picks are encoded in
+    batches and aggregated per item. ``cache`` keeps the window
     vectors for later calls that pass the same windows per item, as every
     value of a sweep does.
     """

@@ -491,24 +491,24 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
 def dropout(
     a,
     rate: float,
-    training_flag: bool,
     rng: np.random.Generator | None = None,
     rows=None,
     n_rows: int = 0,
 ) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
+    """Inverted (training-mode) dropout: zero with probability ``rate``,
+    scale survivors. Callers skip it outside training.
 
-    Identity when not training or when rate == 0. Given ``rows``, ``a`` holds
-    only those rows of an (n_rows, ...) tensor: the mask is drawn for all
-    n_rows rows and the read ones are kept, so the rng advances exactly as
-    it would for the full tensor.
+    Identity when rate == 0. Given ``rows``, ``a`` holds only those rows of
+    an (n_rows, ...) tensor: the mask is drawn for all n_rows rows and the
+    read ones are kept, so the rng advances exactly as it would for the full
+    tensor.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training_flag or rate == 0.0:
+    if rate == 0.0:
         return a if isinstance(a, Tensor) else Tensor(_val(a))
     if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
+        raise ValueError("dropout needs an rng")
     av = _val(a)
     if rows is None:
         draw = rng.random(av.shape)

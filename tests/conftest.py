@@ -149,8 +149,10 @@ def transformer_repair(acceptance_corpus, transformer_base):
 
 def candidate_matrix(corpus, draw=4):
     """One fixed negative draw, so every before/after comparison is paired."""
+    split = corpus["split"]
     return build_test_candidates(
-        corpus["split"], corpus["catalog"], 100, np.random.default_rng([EVAL_SEED, draw]))
+        split.test, split.full_sequences(), corpus["catalog"],
+        100, np.random.default_rng([EVAL_SEED, draw]))
 
 
 @pytest.fixture(scope="session")
@@ -159,7 +161,7 @@ def test_candidates(acceptance_corpus):
 
 
 def paired_reports(corpus, base, repair, candidates):
-    kwargs = dict(n_negatives=100, max_len=MAX_LEN, candidates=candidates)
+    kwargs = dict(max_len=MAX_LEN, candidates=candidates)
     t0 = time.time()
     before = evaluate(ModelRanker(base["model"]), corpus["split"],
                       corpus["partition"], corpus["catalog"], **kwargs)

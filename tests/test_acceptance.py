@@ -29,7 +29,6 @@ from tailrec.data import (
     Interaction,
     PopularityPartition,
     build_sequences,
-    sample_negatives,
     split_leave_one_out,
 )
 from tailrec.evaluate import (
@@ -38,7 +37,9 @@ from tailrec.evaluate import (
     PopRanker,
     RerankByPopularity,
     SPopRanker,
+    build_test_candidates,
     evaluate,
+    rank_cases,
     rank_of_truth,
 )
 from tailrec.model import Model, ModelConfig, embed_sequence, encode_gru, init_model
@@ -373,7 +374,7 @@ def test_apply_rescore_contracts(acceptance_corpus, gru_base, gru_repair,
     noop = apply_embeddings(base, infer_embeddings(
         gru_repair["fn"], base, [], all_head,
         rng=np.random.default_rng([EVAL_SEED, 9])))
-    kwargs = dict(n_negatives=100, max_len=MAX_LEN, candidates=test_candidates)
+    kwargs = dict(max_len=MAX_LEN, candidates=test_candidates)
     split = acceptance_corpus["split"]
     rep_a = evaluate(ModelRanker(base), split, all_head, catalog, **kwargs)
     rep_b = evaluate(ModelRanker(noop), split, all_head, catalog, **kwargs)
@@ -445,8 +446,7 @@ def test_ablation_switches_reachable_and_all_targets_degrades_tail(
                                 rng=np.random.default_rng([EVAL_SEED, 9]))
     repaired_all = apply_embeddings(model, inferred)
     report = evaluate(ModelRanker(repaired_all), acceptance_corpus["split"], part,
-                      acceptance_corpus["catalog"], n_negatives=100,
-                      max_len=MAX_LEN, candidates=test_candidates)
+                      acceptance_corpus["catalog"], test_candidates, max_len=MAX_LEN)
     default_tail = gru_reports["after"]["tail"]["hr10"]
     assert report["tail"]["hr10"] < default_tail, (
         f"all-items targets gave tail hr10 {report['tail']['hr10']:.4f}, "
@@ -481,15 +481,12 @@ def test_withheld_new_items_beat_random_floor(acceptance_corpus, gru_base,
     windows = [[_window_from_ids(w, catalog.index_of) for w in entry["windows"]]
                for entry in payload["items"]]
     entries, extended = infer_new_items(fn, gru_base["model"], windows, seed=[EVAL_SEED, 9])
-    ranker = ModelRanker(extended)
-    ranks = []
-    for entry, emb in zip(payload["items"], entries):
-        for case in entry["test_cases"]:
-            hist = np.array([catalog.index_of[s] for s in case["history"]])
-            negatives = sample_negatives(hist, catalog, 100, neg_rng)
-            cands = np.concatenate([[emb.item], negatives])[None, :]
-            scores = ranker.score_batch([hist[-MAX_LEN:]], cands)
-            ranks.append(rank_of_truth(scores[0], cands[0]))
+    cases = [(emb.item, np.array([catalog.index_of[s] for s in case["history"]]))
+             for entry, emb in zip(payload["items"], entries) for case in entry["test_cases"]]
+    candidates = build_test_candidates([item for item, _ in cases], [h for _, h in cases],
+                                       catalog, 100, neg_rng)
+    ranks = rank_cases(ModelRanker(extended), [h[-MAX_LEN:] for _, h in cases], candidates,
+                       batch_size=1)
 
     assert len(ranks) >= 30, f"only {len(ranks)} usable new-item test cases"
     hr10 = float(np.mean(np.asarray(ranks) <= 10))

@@ -344,10 +344,22 @@ NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
                  marks=NO_RUNTIME_WARNING),
     pytest.param("new-item", "--cities", "cities_gru.json", _with_overflowing_output,
                  marks=NO_RUNTIME_WARNING),
+    ("export-embeddings", "--checkpoint", "checkpoint_gru.json",
+     lambda t: _with(t, 5, "meta", "inferred_items")),
+    ("export-embeddings", "--checkpoint", "checkpoint_gru.json",
+     lambda t: _with(t, [[1]], "meta", "inferred_items")),
+    ("pretrain", "--resume-from", "checkpoint_gru.json",
+     lambda t: _with(t, "abc", "meta", "epochs_completed")),
+    ("pretrain", "--resume-from", "checkpoint_gru.json",
+     lambda t: _with(t, [1], "meta", "epochs_completed")),
+    ("pretrain", "--resume-from", "checkpoint_gru.json",
+     lambda t: _with(t, -3, "meta", "epochs_completed")),
 ], ids=["truncated-checkpoint", "checkpoint-without-config", "function-without-omega1",
         "function-as-checkpoint-apply-eval", "function-as-checkpoint-export",
         "function-with-nan-weight", "function-inferring-infinite-rows",
-        "function-inferring-infinite-new-items"])
+        "function-inferring-infinite-new-items", "inferred-items-not-a-list",
+        "inferred-items-nested", "epochs-completed-a-string", "epochs-completed-a-list",
+        "epochs-completed-negative"])
 def test_corrupted_artifact_exits_3_with_one_line(workspace, tmp_path, capsys,
                                                   command, flag, source, corrupt):
     bad = tmp_path / source
@@ -529,6 +541,21 @@ def test_sweep_tau_runs(workspace):
     assert len(rows) == 3
 
 
+def test_sweep_at_the_config_tau_matches_apply_eval(workspace):
+    # apply-eval's "after" report and every sweep row are one repair-and-rank path
+    with open(workspace["config"], encoding="utf-8") as fh:
+        tau = json.load(fh)["tau"]
+    assert run("--config", workspace["config"], "apply-eval") == 0
+    assert run("--config", workspace["config"], "sweep",
+               "--parameter", "tau", "--values", repr(tau)) == 0
+    after = json.loads((workspace["out"] / "report_after_gru.json").read_text())
+    rows = (workspace["out"] / "sweep_tau_gru.csv").read_text().splitlines()
+    assert len(rows) == 2
+    value, hr10 = rows[1].split(",")
+    assert float(value) == tau
+    assert np.float64(hr10).tobytes() == np.float64(after["groups"]["all"]["hr10"]).tobytes()
+
+
 # ----------------------------------------------------------- new-item
 
 
@@ -575,6 +602,9 @@ PAYLOAD_CORRUPTIONS = {
     "history-not-a-list": lambda t: _with(t, "i00", "items", 0, "test_cases", 0, "history"),
     "history-id-not-a-string": lambda t: _with(t, [3], "items", 0, "test_cases", 0, "history"),
     "empty-history": lambda t: _with(t, [], "items", 0, "test_cases", 0, "history"),
+    "item-in-catalog": lambda t: _with(
+        t, json.loads(t)["items"][0]["test_cases"][0]["history"][0], "items", 0, "item"),
+    "item-twice": lambda t: _with(t, json.loads(t)["items"][0]["item"], "items", 1, "item"),
 }
 
 

@@ -151,7 +151,7 @@ def test_split_five_items():
     assert [catalog.item_of(i) for i in split.train[0]] == ["a", "b", "c"]
     assert catalog.item_of(split.valid[0]) == "d"
     assert catalog.item_of(split.test[0]) == "e"
-    np.testing.assert_array_equal(split.full_sequence(0), seqs[0].items)
+    np.testing.assert_array_equal(split.full_sequences()[0], seqs[0].items)
 
 
 def test_split_minimum_length_three():

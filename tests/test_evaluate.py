@@ -9,6 +9,7 @@ from tailrec.data import (
     LeaveOneOutSplit,
     build_sequences,
     partition_head_tail,
+    sample_negatives,
     split_leave_one_out,
 )
 from tailrec.errors import DataError
@@ -19,6 +20,7 @@ from tailrec.evaluate import (
     RerankByPopularity,
     SPopRanker,
     _group_metrics,
+    build_test_candidates,
     evaluate,
     rank_cases,
     make_baseline,
@@ -133,6 +135,27 @@ def eval_fixture(n_users=40, n_items=120, seed=0):
     return split, part, cat
 
 
+def drawn_candidates(split, cat, seed, n_negatives=100):
+    """The paired test candidates: truth ``split.test``, negatives drawn from
+    ``default_rng(seed)``."""
+    return build_test_candidates(
+        split.test, split.full_sequences(), cat, n_negatives,
+        np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("source", ["full", "test"])
+def test_candidate_rows_are_the_truth_then_negatives_drawn_row_by_row(source):
+    # validation, test evaluation and new-item all draw through this builder,
+    # so its draw order is what keeps their candidate matrices unchanged
+    split, part, cat = eval_fixture(n_users=6)
+    excluded = split.full_sequences()
+    got = build_test_candidates(split.test, excluded, cat, 10, np.random.default_rng(8), source)
+    rng = np.random.default_rng(8)
+    for u in range(split.n_users):
+        assert got[u, 0] == split.test[u]
+        assert np.array_equal(got[u, 1:], sample_negatives(excluded[u], cat, 10, rng, source))
+
+
 def test_perfect_oracle_scores_one_everywhere():
     split, part, cat = eval_fixture()
 
@@ -142,7 +165,7 @@ def test_perfect_oracle_scores_one_everywhere():
             s[:, 0] = 1.0  # truth is always column 0
             return s
 
-    report = evaluate(Oracle(), split, part, cat, rng=np.random.default_rng(1))
+    report = evaluate(Oracle(), split, part, cat, drawn_candidates(split, cat, 1))
     for group in ("head", "tail", "all"):
         if report[group]["support"]:
             assert report[group]["hr5"] == 1.0
@@ -159,7 +182,7 @@ def test_adversarial_model_truth_always_last():
             s[:, 0] = 0.0
             return s
 
-    report = evaluate(Worst(), split, part, cat, rng=np.random.default_rng(1))
+    report = evaluate(Worst(), split, part, cat, drawn_candidates(split, cat, 1))
     assert report["all"]["hr10"] == 0.0
     assert abs(report["all"]["mrr"] - 1 / 101) < 1e-12
 
@@ -172,7 +195,7 @@ def test_uniform_random_matches_analytic_expectation():
         def score_batch(self, histories, candidates):
             return rng.random(candidates.shape)
 
-    report = evaluate(Uniform(), split, part, cat, rng=np.random.default_rng(2))
+    report = evaluate(Uniform(), split, part, cat, drawn_candidates(split, cat, 2))
     assert abs(report["all"]["hr10"] - 10 / 101) < 0.03
     harmonic = np.sum(1.0 / np.arange(1, 102))
     assert abs(report["all"]["mrr"] - harmonic / 101) < 0.01
@@ -186,7 +209,7 @@ def test_supports_sum_and_slice_definition():
         def score_batch(self, histories, candidates):
             return rng.random(candidates.shape)
 
-    report = evaluate(R(), split, part, cat, rng=np.random.default_rng(5))
+    report = evaluate(R(), split, part, cat, drawn_candidates(split, cat, 5))
     assert report["head"]["support"] + report["tail"]["support"] == report["all"]["support"]
     assert report["all"]["support"] == split.n_users
     assert report["head_with_tail_in_sequence"]["support"] <= report["head"]["support"]
@@ -217,7 +240,7 @@ def _fixed_candidates(split, cat):
     out = np.empty((split.n_users, 101), dtype=np.int64)
     for u in range(split.n_users):
         out[u, 0] = split.test[u]
-        pool = np.setdiff1d(np.arange(cat.n_items), split.full_sequence(u))
+        pool = np.setdiff1d(np.arange(cat.n_items), split.full_sequences()[u])
         out[u, 1:] = rng.choice(pool, size=100, replace=False)
     return out
 
@@ -225,8 +248,8 @@ def _fixed_candidates(split, cat):
 def test_seeded_evaluation_is_reproducible():
     split, part, cat = eval_fixture()
     pop = PopRanker(cat)
-    a = evaluate(pop, split, part, cat, rng=np.random.default_rng(123))
-    b = evaluate(pop, split, part, cat, rng=np.random.default_rng(123))
+    a = evaluate(pop, split, part, cat, drawn_candidates(split, cat, 123))
+    b = evaluate(pop, split, part, cat, drawn_candidates(split, cat, 123))
     assert a == b
 
 
@@ -451,6 +474,6 @@ def test_baselines_deterministic_on_synthetic_corpus():
     part = partition_head_tail(catalog, 0.5)
     for name in ("pop", "spop", "fomc"):
         ranker = make_baseline(name, catalog, split)
-        a = evaluate(ranker, split, part, catalog, n_negatives=20, rng=np.random.default_rng(3))
-        b = evaluate(ranker, split, part, catalog, n_negatives=20, rng=np.random.default_rng(3))
+        a = evaluate(ranker, split, part, catalog, drawn_candidates(split, catalog, 3, 20))
+        b = evaluate(ranker, split, part, catalog, drawn_candidates(split, catalog, 3, 20))
         assert a == b

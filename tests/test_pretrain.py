@@ -9,11 +9,10 @@ from tailrec.data import (
     split_leave_one_out,
 )
 from tailrec.errors import ConfigError, TrainingError
-from tailrec.evaluate import ModelRanker, PopRanker, rank_of_truth
+from tailrec.evaluate import ModelRanker, PopRanker, build_test_candidates, rank_of_truth
 from tailrec.model import named_parameters, params_fingerprint
 from tailrec.pretrain import (
     PretrainConfig,
-    build_validation_candidates,
     make_masked_examples,
     make_next_item_examples,
     nll_loss,
@@ -34,6 +33,13 @@ def split_of(*trains, valid=None, test=None):
         valid=np.asarray(valid if valid is not None else np.zeros(n), dtype=np.int64),
         test=np.asarray(test if test is not None else np.zeros(n), dtype=np.int64),
     )
+
+
+def validation_candidates(split, catalog, n_negatives, rng):
+    """The candidate rows ``pretrain`` validates on: truth ``split.valid``."""
+    return build_test_candidates(
+        split.valid, split.full_sequences(), catalog,
+        n_negatives, rng)
 
 
 def cfg(variant, **kw):
@@ -296,7 +302,7 @@ def test_gru_beats_pop_on_planted_transitions():
                  warmup_steps=20, batch_size=64, n_negatives=30)
     model, history = pretrain(split, catalog, config)
 
-    candidates = build_validation_candidates(split, catalog, 30, np.random.default_rng([0, 3]))
+    candidates = validation_candidates(split, catalog, 30, np.random.default_rng([0, 3]))
     pop = PopRanker(catalog)
     scores = pop.score_batch([split.train[u] for u in range(split.n_users)], candidates)
     pop_ranks = np.array([rank_of_truth(scores[u], candidates[u]) for u in range(split.n_users)])
@@ -310,7 +316,7 @@ def test_validate_ranks_from_the_evaluation_state(variant):
     # validate picks the checkpoint, so it must rank from the state evaluation uses
     catalog, split = small_corpus()
     model, _ = pretrain(split, catalog, cfg(variant, epochs=1, max_len=5))
-    candidates = build_validation_candidates(split, catalog, 5, np.random.default_rng(1))
+    candidates = validation_candidates(split, catalog, 5, np.random.default_rng(1))
     scores = ModelRanker(model).score_batch(split.train, candidates)
     ranks = np.array([rank_of_truth(s, c) for s, c in zip(scores, candidates)])
     metrics = validate(model, split, candidates, batch_size=7)

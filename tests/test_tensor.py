@@ -268,23 +268,23 @@ def test_layer_norm_moments():
     np.testing.assert_allclose(out.values.std(axis=-1), 1.0, atol=1e-6)
 
 
-def test_dropout_identity_when_eval():
+def test_dropout_identity_at_rate_zero():
     x = Tensor(np.arange(6.0))
-    out = T.dropout(x, 0.5, training_flag=False)
+    out = T.dropout(x, 0.0)
     assert out is x
 
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
-        T.dropout(Tensor(np.ones(3)), 1.0, training_flag=True, rng=np.random.default_rng(0))
+        T.dropout(Tensor(np.ones(3)), 1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        T.dropout(Tensor(np.ones(3)), -0.1, training_flag=True, rng=np.random.default_rng(0))
+        T.dropout(Tensor(np.ones(3)), -0.1, rng=np.random.default_rng(0))
 
 
 def test_dropout_scales_survivors():
     rng = np.random.default_rng(5)
     x = Tensor(np.ones(10_000))
-    out = T.dropout(x, 0.25, training_flag=True, rng=rng)
+    out = T.dropout(x, 0.25, rng=rng)
     kept = out.values != 0
     np.testing.assert_allclose(out.values[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.02
@@ -294,7 +294,7 @@ def test_dropout_grad_matches_mask():
     rng = np.random.default_rng(7)
     x = Tensor(np.random.default_rng(1).standard_normal(50))
     with Tape() as tape:
-        out = T.dropout(x, 0.4, training_flag=True, rng=rng)
+        out = T.dropout(x, 0.4, rng=rng)
         loss = T.sum_(out)
     tape.backward(loss)
     mask = out.values / np.where(x.values == 0, 1.0, x.values)
