@@ -355,11 +355,12 @@ def _lock(outdir: str):
 
 
 def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str,
-                    seconds: float) -> str:
+                    seconds: float) -> None:
     """Lineage and wall time of one command. Timings live only here: every
-    other output must stay byte-identical between same-seed runs."""
-    path = os.path.join(cfg["out"], f"manifest_{command}.json")
-    write_json(path, {
+    other output must stay byte-identical between same-seed runs. A baseline
+    or sweep is named after the one file it wrote (``manifest_baseline_pop.json``)."""
+    key = os.path.splitext(os.path.basename(outputs[0]))[0] if command in ("baseline", "sweep") else command
+    write_json(os.path.join(cfg["out"], f"manifest_{key}.json"), {
         "command": command,
         "config_hash": _config_hash(cfg),
         "seed": cfg["seed"],
@@ -369,7 +370,6 @@ def _write_manifest(cfg, command, inputs: dict, outputs: list, started: str,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seconds": seconds,
     })
-    return path
 
 
 def _load_base(cfg, checkpoint: str | None):

@@ -337,6 +337,8 @@ def sample_negatives(
     item has a nonzero count) or "test" (held-out test items only). Zero-count
     items are undrawable under proportional weights, so if fewer than ``n``
     eligible items have positive weight the weights are Laplace-smoothed by 1.
+    The loop is ``Generator.choice(eligible, n, replace=False, p=w / w.sum(),
+    shuffle=False)`` written out; it ends as at least ``n`` weights are > 0.
     """
     if source == "full":
         pop = catalog.full_popularity
@@ -355,4 +357,13 @@ def sample_negatives(
     w = pop[eligible].astype(np.float64)
     if np.count_nonzero(w) < n:
         w = w + 1.0
-    return rng.choice(eligible, size=n, replace=False, p=w / w.sum(), shuffle=False)
+    p, found = w / w.sum(), np.empty(0, dtype=np.int64)
+    while len(found) < n:
+        cdf = np.cumsum(p)
+        new = (cdf / cdf[-1]).searchsorted(rng.random(n - len(found)), side="right")
+        order = np.argsort(new, kind="stable")
+        ordered = new[order]  # each item's first draw leads its run; keep those, in draw order
+        new = new[np.sort(order[np.concatenate(([True], ordered[1:] != ordered[:-1]))])]
+        p[new] = 0.0
+        found = np.concatenate([found, new])
+    return eligible[found]

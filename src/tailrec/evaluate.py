@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Catalog, LeaveOneOutSplit, PopularityPartition, sample_negatives
 from .errors import DataError
-from .model import Model, ranking_states, score_candidates
+from .model import Model, pad_batch, ranking_states, score_candidates
 
 __all__ = [
     "rank_of_truth",
@@ -69,7 +69,7 @@ class ModelRanker:
 
     def score_batch(self, histories: list[np.ndarray], candidates: np.ndarray) -> np.ndarray:
         m = ranking_states(self.model, histories)
-        return score_candidates(m, self.model.table, candidates).values
+        return score_candidates(m, self.model.table, candidates)
 
 
 class PopRanker:
@@ -94,11 +94,9 @@ class SPopRanker:
         self.scale = float(self.popularity.max()) + 1.0
 
     def score_batch(self, histories, candidates):
-        out = np.empty(candidates.shape, dtype=np.float64)
-        for i, (hist, cand) in enumerate(zip(histories, candidates)):
-            counts = np.bincount(hist, minlength=len(self.popularity)).astype(np.float64)
-            out[i] = counts[cand] * self.scale + self.popularity[cand]
-        return out
+        held = pad_batch(histories, max(map(len, histories)), -1)  # -1 matches no item
+        counts = (held[:, None, :] == candidates[:, :, None]).sum(axis=2)
+        return counts * self.scale + self.popularity[candidates]
 
 
 def transition_counts(split: LeaveOneOutSplit, n_items: int) -> np.ndarray:
@@ -120,15 +118,10 @@ class FomcRanker:
         self.transitions = transition_counts(split, catalog.n_items)
 
     def score_batch(self, histories, candidates):
-        out = np.empty(candidates.shape, dtype=np.float64)
-        for i, (hist, cand) in enumerate(zip(histories, candidates)):
-            last = int(hist[-1])
-            row = self.transitions[last]
-            if row.sum() == 0:
-                out[i] = self.popularity[cand]
-            else:
-                out[i] = row[cand].astype(np.float64) * self.scale + self.popularity[cand]
-        return out
+        # no outgoing transition: all counts are 0, so the row is exactly POP
+        last = np.array([h[-1] for h in histories], dtype=np.int64)
+        counts = self.transitions[last[:, None], candidates].astype(np.float64)
+        return counts * self.scale + self.popularity[candidates]
 
 
 class RerankByPopularity:
@@ -143,14 +136,12 @@ class RerankByPopularity:
 
     def score_batch(self, histories, candidates):
         base_scores = self.base.score_batch(histories, candidates)
+        order = np.lexsort((candidates, -base_scores))  # each row's base ranking
+        window = order[:, : 5 * self.k]
+        pop = self.popularity[np.take_along_axis(candidates, window, axis=1)]
+        window[:] = np.take_along_axis(window, np.argsort(pop, axis=1, kind="stable"), axis=1)
         out = np.empty(candidates.shape, dtype=np.float64)
-        c = candidates.shape[1]
-        for i in range(len(candidates)):
-            order = np.lexsort((candidates[i], -base_scores[i]))
-            window = order[: 5 * self.k]
-            reranked = window[np.argsort(self.popularity[candidates[i][window]], kind="stable")]
-            final = np.concatenate([reranked, order[5 * self.k :]])
-            out[i][final] = np.arange(c, 0, -1, dtype=np.float64)
+        np.put_along_axis(out, order, np.arange(candidates.shape[1], 0, -1, dtype=np.float64)[None], 1)
         return out
 
 
@@ -198,10 +189,9 @@ def build_test_candidates(
     negatives.
     """
     candidates = np.empty((len(truths), 1 + n_negatives), dtype=np.int64)
-    for i, (truth, items) in enumerate(zip(truths, excluded)):
-        candidates[i, 0] = truth
-        candidates[i, 1:] = sample_negatives(items, catalog, n_negatives, rng,
-                                             source=negative_source)
+    candidates[:, 0] = truths
+    for i, items in enumerate(excluded):
+        candidates[i, 1:] = sample_negatives(items, catalog, n_negatives, rng, source=negative_source)
     return candidates
 
 
@@ -225,17 +215,19 @@ def evaluate(
     transformer keeps the last ``max_len - 1`` items and reads its state at a
     [mask] placed directly after them.
     """
-    n_users = split.n_users
     tail_mask = np.zeros(catalog.n_items, dtype=bool)
     tail_mask[partition.tail_set] = True
 
-    histories = [
-        np.append(split.train[u], split.valid[u])[-max_len:] for u in range(n_users)
-    ]
+    # every user's train prefix and validation item, each cut to its last max_len
+    lengths = np.fromiter(map(len, split.train), np.int64, split.n_users) + 1
+    flat = np.insert(np.concatenate(split.train), np.cumsum(lengths - 1), split.valid)
+    flat = flat[np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat)) <= max_len]
+    starts = [0, *np.cumsum(np.minimum(lengths, max_len))[:-1].tolist()]
+    histories = np.split(flat, starts[1:])
     ranks = rank_cases(ranker, histories, candidates, batch_size)
 
     truth_is_tail = tail_mask[split.test]
-    has_tail_input = np.array([bool(tail_mask[h].any()) for h in histories])
+    has_tail_input = np.logical_or.reduceat(tail_mask[flat], starts)
     head_slice = _group_metrics(ranks[~truth_is_tail & has_tail_input])
     return {
         "all": _group_metrics(ranks),

@@ -485,6 +485,15 @@ def test_baseline_is_deterministic(workspace, tmp_path):
     assert path.read_bytes() == first
 
 
+def test_each_baseline_keeps_its_own_manifest(workspace):
+    assert run("--config", workspace["config"], "baseline", "--name", "pop") == 0
+    assert run("--config", workspace["config"], "baseline", "--name", "fomc") == 0
+    for name in ("pop", "fomc"):
+        man = json.loads((workspace["out"] / f"manifest_baseline_{name}.json").read_text())
+        assert man["command"] == "baseline"
+        assert man["outputs"] == [f"baseline_{name}.json"]
+
+
 # -------------------------------------------------------------- sweep
 
 

@@ -156,6 +156,37 @@ def test_candidate_rows_are_the_truth_then_negatives_drawn_row_by_row(source):
         assert np.array_equal(got[u, 1:], sample_negatives(excluded[u], cat, 10, rng, source))
 
 
+@pytest.mark.parametrize("source", ["full", "test"])
+def test_candidate_rows_match_generator_choice_row_for_row(source):
+    # sample_negatives writes out Generator.choice's without-replacement loop;
+    # every row, and where the stream ends, must be what choice itself draws
+    rs = np.random.default_rng(31)
+    n_items, n, n_rows = 300, 100, 2000
+    full = np.ceil(rs.pareto(1.1, n_items)).astype(np.int64) + 1  # heavy tail
+    test = np.zeros(n_items, dtype=np.int64)
+    test[rs.choice(n_items, 120, replace=False)] = rs.integers(1, 6, 120)
+    cat = make_catalog(full, test_pop=test)
+    excluded = [rs.integers(0, n_items, rs.integers(0, 180)) for _ in range(n_rows)]
+    for i in range(0, n_rows, 10):  # exactly n eligible: every round of the loop runs dry
+        excluded[i] = rs.choice(n_items, n_items - n, replace=False)
+    truths = rs.integers(0, n_items, n_rows)
+
+    got_rng, want_rng = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
+    got = build_test_candidates(truths, excluded, cat, n, got_rng, source)
+    pop = full if source == "full" else test
+    smoothed = 0
+    for i, items in enumerate(excluded):
+        eligible = np.setdiff1d(np.arange(n_items), items)
+        w = pop[eligible].astype(np.float64)
+        if np.count_nonzero(w) < n:
+            w, smoothed = w + 1.0, smoothed + 1
+        want = want_rng.choice(eligible, size=n, replace=False, p=w / w.sum(), shuffle=False)
+        assert got[i, 0] == truths[i] and np.array_equal(got[i, 1:], want), i
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if source == "test":  # both branches ran
+        assert 0 < smoothed < n_rows
+
+
 def test_perfect_oracle_scores_one_everywhere():
     split, part, cat = eval_fixture()
 
@@ -213,6 +244,33 @@ def test_supports_sum_and_slice_definition():
     assert report["head"]["support"] + report["tail"]["support"] == report["all"]["support"]
     assert report["all"]["support"] == split.n_users
     assert report["head_with_tail_in_sequence"]["support"] <= report["head"]["support"]
+
+
+def test_rankers_see_each_history_capped_to_max_len():
+    rng = np.random.default_rng(9)
+    n_users, n_items, max_len = 50, 120, 5
+    train = [rng.integers(0, n_items, size=rng.integers(1, 12)) for _ in range(n_users)]
+    split = LeaveOneOutSplit(users=[f"u{i}" for i in range(n_users)], train=train,
+                             valid=rng.integers(0, n_items, size=n_users),
+                             test=rng.integers(0, n_items, size=n_users))
+    cat = make_catalog(rng.integers(1, 30, size=n_items))
+    part = partition_head_tail(cat, 0.2)
+    seen = []
+
+    class Recorder:
+        def score_batch(self, histories, candidates):
+            seen.extend(histories)
+            return np.zeros(candidates.shape)
+
+    report = evaluate(Recorder(), split, part, cat, drawn_candidates(split, cat, 3),
+                      max_len=max_len, batch_size=7)
+    want = [np.append(t, v)[-max_len:] for t, v in zip(train, split.valid)]
+    assert len(seen) == n_users
+    assert all(h.dtype == np.int64 and np.array_equal(h, w) for h, w in zip(seen, want))
+    tail = np.isin(np.arange(n_items), part.tail_set)
+    slice_ = [u for u in range(n_users) if not tail[split.test[u]] and tail[want[u]].any()]
+    assert 0 < len(slice_) < n_users
+    assert report["head_with_tail_in_sequence"]["support"] == len(slice_)
 
 
 def test_monotone_transform_invariance():
@@ -374,6 +432,49 @@ def test_fomc_unseen_last_item_falls_back_to_pop():
     scores = ranker.score_batch([np.array([2])], cand)[0]  # item 2 never transitions
     order = cand[0][np.lexsort((cand[0], -scores))]
     assert order.tolist() == [2, 1, 0]
+
+
+def test_baseline_batches_equal_their_per_case_scores():
+    # the array forms of S-POP, first-order and rerank must give bitwise the
+    # scores of scoring one case at a time
+    rng = np.random.default_rng(12)
+    n_items = 25
+    train = [rng.integers(0, 20, size=rng.integers(1, 15)) for _ in range(40)]  # 20..24 never
+    split = LeaveOneOutSplit(users=[str(i) for i in range(40)], train=train,
+                             valid=np.zeros(40, dtype=np.int64), test=np.zeros(40, dtype=np.int64))
+    cat = make_catalog(rng.integers(0, 50, size=n_items))
+    # few distinct items, so histories repeat items; every third ends in an
+    # item with no outgoing transition
+    histories = [rng.integers(0, 6, size=rng.integers(1, 30)) for _ in range(60)]
+    for h in histories[::3]:
+        h[-1] = rng.integers(20, n_items)
+    candidates = np.stack([rng.choice(n_items, 12, replace=False) for _ in histories])
+    candidates[:, 1] = [h[0] for h in histories]  # an item the history holds
+
+    pop = cat.train_popularity.astype(np.float64)
+    scale = float(pop.max()) + 1.0
+    spop, fomc = SPopRanker(cat), FomcRanker(cat, split)
+    want_spop, want_fomc = [], []
+    for hist, cand in zip(histories, candidates):
+        counts = np.bincount(hist, minlength=n_items).astype(np.float64)
+        want_spop.append(counts[cand] * scale + pop[cand])
+        row = fomc.transitions[int(hist[-1])]
+        want_fomc.append(pop[cand] if row.sum() == 0
+                         else row[cand].astype(np.float64) * scale + pop[cand])
+    assert np.array_equal(spop.score_batch(histories, candidates), np.array(want_spop))
+    assert np.array_equal(fomc.score_batch(histories, candidates), np.array(want_fomc))
+    assert not fomc.transitions[[h[-1] for h in histories[::3]]].any()
+
+    k = 2  # a 10-candidate window of the 12, so the tail keeps the base order
+    rerank = RerankByPopularity(spop, cat, k=k)
+    want_rerank = np.empty(candidates.shape)
+    for i, (cand, base) in enumerate(zip(candidates, np.array(want_spop))):
+        order = np.lexsort((cand, -base))
+        window = order[: 5 * k]
+        final = np.concatenate([window[np.argsort(pop[cand[window]], kind="stable")],
+                                order[5 * k:]])
+        want_rerank[i][final] = np.arange(len(cand), 0, -1)
+    assert np.array_equal(rerank.score_batch(histories, candidates), want_rerank)
 
 
 def test_transition_counts_match_bigram_oracle():

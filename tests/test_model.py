@@ -292,7 +292,7 @@ def test_score_candidates_matches_full_score():
     state = Tensor(rng.standard_normal((2, 8)))
     cand = np.array([[0, 3, 5], [6, 1, 2]])
     full = score(state, m.table).values
-    sub = score_candidates(state, m.table, cand).values
+    sub = score_candidates(state, m.table, cand)
     np.testing.assert_allclose(sub, np.take_along_axis(full, cand, axis=1), atol=1e-12)
 
 
