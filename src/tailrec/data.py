@@ -351,7 +351,7 @@ def sample_negatives(
         raise DataError(f"user item index outside the catalog [0, {catalog.n_items})")
     keep = np.ones(catalog.n_items, dtype=bool)
     keep[user_items] = False
-    eligible = np.flatnonzero(keep)
+    eligible = keep.nonzero()[0]
     if len(eligible) < n:
         raise DataError(f"need {n} negatives but only {len(eligible)} eligible items exist")
     w = pop[eligible].astype(np.float64)
@@ -359,11 +359,12 @@ def sample_negatives(
         w = w + 1.0
     p, found = w / w.sum(), np.empty(0, dtype=np.int64)
     while len(found) < n:
-        cdf = np.cumsum(p)
+        cdf = p.cumsum()  # array methods: the np.* wrappers cost more than the work here
         new = (cdf / cdf[-1]).searchsorted(rng.random(n - len(found)), side="right")
-        order = np.argsort(new, kind="stable")
-        ordered = new[order]  # each item's first draw leads its run; keep those, in draw order
-        new = new[np.sort(order[np.concatenate(([True], ordered[1:] != ordered[:-1]))])]
+        order = new.argsort(kind="stable")  # each item's first draw leads its run
+        first = order[np.concatenate(([True], new[order[1:]] != new[order[:-1]]))]
+        first.sort()  # the first draws, in draw order
+        new = new[first]
         p[new] = 0.0
         found = np.concatenate([found, new])
     return eligible[found]

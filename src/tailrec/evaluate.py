@@ -68,8 +68,7 @@ class ModelRanker:
         self.model = model
 
     def score_batch(self, histories: list[np.ndarray], candidates: np.ndarray) -> np.ndarray:
-        m = ranking_states(self.model, histories)
-        return score_candidates(m, self.model.table, candidates)
+        return score_candidates(ranking_states(self.model, histories), self.model.table, candidates)
 
 
 class PopRanker:
