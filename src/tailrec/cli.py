@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,43 +71,22 @@ __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 BASELINES = ("pop", "spop", "fomc", "rerank")
 
 
+def _defaults(cls, *omit) -> dict:
+    """``cls``'s field defaults by name, without the fields named in ``omit``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in omit}
+
+
+# The pretrain and cities sections are the fields of the dataclasses that
+# check them; the seed and variant come from the top level.
 DEFAULT_CONFIG = {
     "dataset": {"path": "", "format": "csv", "min_actions": 5},
     "variant": "gru",
     "seed": 0,
     "out": "runs/default",
     "tau": 0.5,
-    "pretrain": {
-        "max_len": 50,
-        "d": 64,
-        "n_blocks": 2,
-        "n_heads": 2,
-        "dropout_rate": 0.1,
-        "mask_probability": 0.2,
-        "learning_rate": 0.001,
-        "warmup_steps": 100,
-        "l2_coefficient": 0.0001,
-        "epochs": 50,
-        "batch_size": 128,
-        "n_negatives": 100,
-    },
-    "cities": {
-        "epochs": 50,
-        "learning_rate": 0.001,
-        "warmup_steps": 100,
-        "l2_coefficient": 0.0001,
-        "dropout_rate": 0.1,
-        "n_agg_blocks": 2,
-        "n_agg_heads": 4,
-        "kappa_max": 10,
-        "omega1": None,
-        "omega2": None,
-        "context_batch_cap": 64,
-        "few_shot": True,
-        "target_set": "head",
-        "phi_alpha_init": "pretrained",
-        "phi_alpha_frozen": True,
-    },
+    "pretrain": _defaults(PretrainConfig, "variant", "seed"),
+    "cities": {**_defaults(InferenceTrainConfig, "seed"), **_defaults(FewShotConfig),
+               "target_set": "head"},
     "evaluate": {
         "n_negatives": 100,
         "seed": None,  # None -> global seed
@@ -159,20 +139,13 @@ def _same_type(value, default) -> bool:
 
 
 def _validate(cfg: dict) -> None:
-    """Cheap structural checks that must fire before any data is touched."""
-    if cfg["variant"] not in ("gru", "transformer"):
-        raise ConfigError(f"variant must be gru or transformer, got {cfg['variant']!r}")
+    """Checks of the keys no dataclass owns; ``load_config`` builds the
+    dataclasses, which check the pretrain and cities sections."""
     tau = cfg["tau"]
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie strictly between 0 and 1, got {tau}")
-    if cfg["cities"]["kappa_max"] < 1:
-        raise ConfigError(f"kappa_max must be >= 1, got {cfg['cities']['kappa_max']}")
-    if cfg["pretrain"]["max_len"] < 2:
-        raise ConfigError(f"max_len must be >= 2, got {cfg['pretrain']['max_len']}")
     if cfg["cities"]["target_set"] not in ("head", "all"):
         raise ConfigError(f"target_set must be head or all, got {cfg['cities']['target_set']!r}")
-    if cfg["cities"]["phi_alpha_init"] not in ("pretrained", "scratch"):
-        raise ConfigError(f"phi_alpha_init must be pretrained or scratch")
     if cfg["dataset"]["format"] not in ("csv", "jsonl"):
         raise ConfigError(f"dataset.format must be csv or jsonl, got {cfg['dataset']['format']!r}")
     if cfg["sweep"]["parameter"] not in ("tau", "kappa"):
@@ -186,18 +159,32 @@ def _validate(cfg: dict) -> None:
     values = cfg["sweep"]["values"]
     if not values or not all(_same_type(v, 0.0) for v in values):
         raise ConfigError(f"sweep.values must be a non-empty list of numbers, got {json.dumps(values)}")
-    if cfg["sweep"]["parameter"] == "kappa":
-        _check_sweep_values("kappa", [float(v) for v in values])
-    bounded = [("seed", cfg["seed"], 0), ("evaluate.seed", cfg["evaluate"]["seed"], 0)] + [
-        (f"{section}.{name}", cfg[section][name], 1) for section, name in (
-            ("pretrain", "batch_size"), ("pretrain", "n_negatives"), ("evaluate", "batch_size"),
-            ("evaluate", "n_negatives"), ("cities", "context_batch_cap"))]
+    _check_sweep_values(cfg["sweep"]["parameter"], [float(v) for v in values])
+    bounded = [("seed", cfg["seed"], 0), ("evaluate.seed", cfg["evaluate"]["seed"], 0),
+               ("evaluate.batch_size", cfg["evaluate"]["batch_size"], 1),
+               ("evaluate.n_negatives", cfg["evaluate"]["n_negatives"], 1)]
     for key, value, least in bounded:
         if value < least:
             raise ConfigError(f"{key} must be >= {least}, got {value}")
 
 
-def load_config(args) -> dict:
+def _build(cls, section: dict, **given):
+    """``cls`` from the keys of ``section`` that name its fields, plus ``given``."""
+    return cls(**given, **{f.name: section[f.name] for f in fields(cls) if f.name not in given})
+
+
+class Config(dict):
+    """The merged config, plus its pretrain and cities sections built into
+    the dataclasses that check them and that the commands use."""
+
+    pretrain: PretrainConfig
+    cities: InferenceTrainConfig
+    few_shot: FewShotConfig
+
+
+def load_config(args) -> Config:
+    """The merged, checked config. Every config error is a ConfigError
+    raised here, before any file but the config is read."""
     user = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -210,7 +197,7 @@ def load_config(args) -> dict:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-    cfg = _merge(DEFAULT_CONFIG, user)
+    cfg = Config(_merge(DEFAULT_CONFIG, user))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "variant", None) is not None:
@@ -220,6 +207,9 @@ def load_config(args) -> dict:
     if cfg["evaluate"]["seed"] is None:
         cfg["evaluate"]["seed"] = cfg["seed"]
     _validate(cfg)
+    cfg.pretrain = _build(PretrainConfig, cfg["pretrain"], variant=cfg["variant"], seed=cfg["seed"])
+    cfg.cities = _build(InferenceTrainConfig, cfg["cities"], seed=cfg["seed"])
+    cfg.few_shot = _build(FewShotConfig, cfg["cities"])
     return cfg
 
 
@@ -273,6 +263,8 @@ def load_store(path: str):
         raise DataError(f"{path}: item_ids, users and sequences must be lists")
     if len(users) != len(doc["sequences"]):
         raise DataError(f"{path}: {len(users)} users but {len(doc['sequences'])} sequences")
+    if not users:
+        raise DataError(f"{path}: store has no users")
     n = len(item_ids)
     if not all(isinstance(i, str) for i in item_ids) or len(set(item_ids)) != n:
         raise DataError(f"{path}: item_ids must be distinct strings")
@@ -287,8 +279,7 @@ def load_store(path: str):
         if arr.size and not (arr.min() >= 0 and arr.max() < n):
             raise DataError(f"{path}: user {user!r} has an item index outside [0, {n})")
         sequences.append(UserSequence(user=user, items=arr.astype(np.int64)))
-    flat = np.concatenate([s.items for s in sequences]) if sequences else np.zeros(0, np.int64)
-    full_pop = np.bincount(flat, minlength=n)
+    full_pop = np.bincount(np.concatenate([s.items for s in sequences]), minlength=n)
     catalog = Catalog(
         item_ids=item_ids,
         index_of={i: k for k, i in enumerate(item_ids)},
@@ -381,16 +372,6 @@ def _load_base(cfg, checkpoint: str | None):
             f"{path} holds a {model.config.variant} model but the config says {cfg['variant']}"
         )
     return catalog, split, store, model, path
-
-
-def _fewshot(cfg) -> FewShotConfig:
-    c = cfg["cities"]
-    return FewShotConfig(
-        kappa_max=c["kappa_max"],
-        few_shot=bool(c["few_shot"]),
-        omega1=c["omega1"],
-        omega2=c["omega2"],
-    )
 
 
 def _paired_evaluation(cfg, split, catalog, max_len: int):
@@ -495,7 +476,6 @@ def cmd_ingest(cfg, args):
 
 def cmd_pretrain(cfg, args):
     catalog, split, store = load_store(_store_path(cfg))
-    pc = PretrainConfig(variant=cfg["variant"], seed=cfg["seed"], **cfg["pretrain"])
 
     initial, offset = None, 0
     if getattr(args, "resume_from", None):
@@ -508,14 +488,15 @@ def cmd_pretrain(cfg, args):
             raise DataError(f"{args.resume_from}: meta.epochs_completed must be a whole number "
                             f">= 0, got {json.dumps(offset)}")
 
-    model, history = pretrain(split, catalog, pc, initial_model=initial, epoch_offset=offset)
+    model, history = pretrain(split, catalog, cfg.pretrain, initial_model=initial,
+                              epoch_offset=offset)
 
     ckpt = _ckpt_path(cfg)
     meta = {
         "dataset_hash": store["dataset_hash"],
         "config_hash": _config_hash(cfg),
         "seed": cfg["seed"],
-        "epochs_completed": offset + pc.epochs,
+        "epochs_completed": offset + cfg.pretrain.epochs,
         "best_val_mrr": max((h["val_mrr"] for h in history), default=0.0),
     }
     save_checkpoint(ckpt, model, catalog_hash(catalog.item_ids), kind="pretrained", meta=meta)
@@ -538,19 +519,9 @@ def cmd_train_cities(cfg, args):
     else:
         targets = [int(i) for i in part.head_set]
 
-    few = _fewshot(cfg)
-    w1, w2 = few.resolved_windows(cfg["variant"], model.config.max_len)
+    w1, w2 = cfg.few_shot.resolved_windows(cfg["variant"], model.config.max_len)
     sets = [cs for _, cs in sorted(extract_context_sets(split, targets, w1, w2).items())]
-
-    c = cfg["cities"]
-    tc = InferenceTrainConfig(
-        epochs=c["epochs"], learning_rate=c["learning_rate"], warmup_steps=c["warmup_steps"],
-        l2_coefficient=c["l2_coefficient"], dropout_rate=c["dropout_rate"],
-        n_agg_blocks=c["n_agg_blocks"], n_agg_heads=c["n_agg_heads"], seed=cfg["seed"],
-        phi_alpha_init=c["phi_alpha_init"], phi_alpha_frozen=bool(c["phi_alpha_frozen"]),
-        context_batch_cap=c["context_batch_cap"],
-    )
-    fn, curve, skipped = train_inference_function(model, sets, few, tc)
+    fn, curve, skipped = train_inference_function(model, sets, cfg.few_shot, cfg.cities)
 
     source = params_fingerprint(named_parameters(model))
     fn_file = _fn_path(cfg)
@@ -558,8 +529,8 @@ def cmd_train_cities(cfg, args):
         "dataset_hash": store["dataset_hash"],
         "config_hash": _config_hash(cfg),
         "seed": cfg["seed"],
-        "target_set": c["target_set"],
-        "few_shot": bool(c["few_shot"]),
+        "target_set": cfg["cities"]["target_set"],
+        "few_shot": cfg.few_shot.few_shot,
         "skipped_items": skipped,
         "curve": curve,
     })
@@ -588,7 +559,7 @@ def cmd_apply_eval(cfg, args):
     run = _paired_evaluation(cfg, split, catalog, model.config.max_len)
     inferred, repaired, after = _repair_and_rank(
         cfg, fn, model, extract_context_sets(split, part.tail_set, fn.omega1, fn.omega2), part,
-        cfg["cities"]["context_batch_cap"], run)
+        cfg.cities.context_batch_cap, run)
     inferred_items = [e.item for e in inferred if e.provenance == "inferred"]
 
     applied_path = os.path.join(cfg["out"], f"applied_{cfg['variant']}.json")
@@ -640,7 +611,7 @@ def cmd_baseline(cfg, args):
         base = ModelRanker(model)
         lineage["base_checkpoint"] = params_fingerprint(named_parameters(model))
     ranker = make_baseline(name, catalog, split, base=base)
-    report = _paired_evaluation(cfg, split, catalog, cfg["pretrain"]["max_len"])(ranker, part)
+    report = _paired_evaluation(cfg, split, catalog, cfg.pretrain.max_len)(ranker, part)
     path = os.path.join(cfg["out"], f"baseline_{name}.json")
     write_json(path, _report_doc(report, cfg, lineage))
     print(f"{name}: all hr10 {report['all']['hr10']:.4f}  mrr {report['all']['mrr']:.4f}")
@@ -675,7 +646,7 @@ def cmd_sweep(cfg, args):
     for v in sorted(values):
         if parameter == "tau":
             part_v = partition_head_tail(catalog, float(v))
-            cap = cfg["cities"]["context_batch_cap"]
+            cap = cfg.cities.context_batch_cap
         else:
             part_v = partition_head_tail(catalog, cfg["tau"])
             cap = int(v)  # contexts available per tail item at inference
@@ -743,17 +714,17 @@ def _read_new_items(path: str, index_of: dict) -> list:
 
 
 def cmd_new_item(cfg, args):
-    catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
-    fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
     contexts_path = getattr(args, "contexts", None) or cfg["new_item"]["contexts"]
     if not contexts_path:
         raise ConfigError("new-item needs a context file (--contexts or new_item.contexts)")
+    catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
+    fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
     new_items = _read_new_items(contexts_path, catalog.index_of)
 
     ev = cfg["evaluate"]
     entries, extended = infer_new_items(fn, model, [wins for _, wins, _ in new_items],
                                         seed=[ev["seed"], 9],
-                                        context_batch_cap=cfg["cities"]["context_batch_cap"])
+                                        context_batch_cap=cfg.cities.context_batch_cap)
     cases = [(emb.item, hist) for (_, _, case_histories), emb in zip(new_items, entries)
              for hist in case_histories]
     if not cases:

@@ -59,14 +59,12 @@ class PretrainConfig:
     n_negatives: int = 100
 
     def __post_init__(self):
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
+        self.model_config(n_items=0)  # variant, max_len, d/n_heads, dropout_rate
         if not 0.0 < self.mask_probability < 1.0:
-            raise ConfigError(
-                f"mask_probability must be in (0, 1), got {self.mask_probability}"
-            )
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+            raise ConfigError(f"mask_probability must be in (0, 1), got {self.mask_probability}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("n_negatives", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def model_config(self, n_items: int) -> ModelConfig:
         return ModelConfig(

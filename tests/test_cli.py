@@ -5,6 +5,7 @@ tests exercise the downstream commands, the exit-code contract, and the
 byte-level reproducibility of the artifacts.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,10 +14,11 @@ import sys
 import numpy as np
 import pytest
 
-from tailrec.cli import DEFAULT_CONFIG, main
+from tailrec.cli import DEFAULT_CONFIG, _config_hash, load_config, main
 from tailrec.data import build_sequences, ingest
 from tailrec.model import ModelConfig, catalog_hash, init_model, save_checkpoint
-from tailrec.repair import load_inference_function
+from tailrec.pretrain import PretrainConfig
+from tailrec.repair import FewShotConfig, InferenceTrainConfig, load_inference_function
 from tailrec.synthetic import new_item_artifacts, synthetic_interactions, write_log_csv
 
 SEED = 4
@@ -114,6 +116,15 @@ def test_invalid_values_exit_2_before_touching_data(tmp_path, patch):
     {"sweep": {"parameter": "kappa", "values": [0]}},
     {"evaluate": {"negative_source": "bogus"}},
     {"baseline": {"name": "bogus"}},
+    {"pretrain": {"mask_probability": 1.5}},
+    {"pretrain": {"dropout_rate": 1.0}},
+    {"pretrain": {"epochs": -1}},
+    {"cities": {"dropout_rate": 1.0}},
+    {"cities": {"n_agg_blocks": 0}},
+    {"cities": {"epochs": -1}},
+    {"cities": {"omega1": -1}},
+    {"variant": "transformer", "pretrain": {"d": 8, "n_heads": 3}},
+    {"sweep": {"values": [1.5]}},
 ], ids=lambda patch: json.dumps(patch))
 def test_mistyped_or_out_of_range_config_exits_2_with_one_line(workspace, tmp_path, capsys,
                                                                patch):
@@ -130,6 +141,14 @@ def test_mistyped_or_out_of_range_config_exits_2_with_one_line(workspace, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+def test_defaults_are_the_dataclass_fields():
+    # a changed default changes every artifact's config hash: pin it
+    cfg = load_config(argparse.Namespace())
+    assert _config_hash(cfg) == "276c12238f8c381586ab4ec9d2910ca7ca31e8c79df5c575902111c4f8aca0a2"
+    assert DEFAULT_CONFIG["pretrain"]["max_len"] == PretrainConfig.max_len == cfg.pretrain.max_len
+    assert cfg.cities == InferenceTrainConfig() and cfg.few_shot == FewShotConfig()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -403,6 +422,7 @@ def _with(text, value, *keys):
 
 STORE_CORRUPTIONS = {
     "no-users": lambda t: _without(t, "users"),
+    "empty": lambda t: _with(_with(t, [], "users"), [], "sequences"),
     "no-sequences": lambda t: _without(t, "sequences"),
     "no-dataset-hash": lambda t: _without(t, "dataset_hash"),
     "fewer-sequences-than-users": lambda t: _with(t, json.loads(t)["sequences"][1:],
