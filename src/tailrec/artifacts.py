@@ -62,7 +62,8 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, doc: dict) -> None:
-    _write_atomically(path, lambda fh: json.dump(doc, fh, sort_keys=True, separators=(",", ":")))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))  # dump to a file is pure Python
+    _write_atomically(path, lambda fh: fh.write(text))
 
 
 def read_json(path, what: str) -> dict:

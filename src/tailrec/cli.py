@@ -207,6 +207,11 @@ def load_config(args) -> Config:
     if cfg["evaluate"]["seed"] is None:
         cfg["evaluate"]["seed"] = cfg["seed"]
     _validate(cfg)
+    command = getattr(args, "command", None)
+    if command == "ingest" and not cfg["dataset"]["path"]:
+        raise ConfigError("dataset.path is required for ingest")
+    if command == "new-item" and not (getattr(args, "contexts", None) or cfg["new_item"]["contexts"]):
+        raise ConfigError("new-item needs a context file (--contexts or new_item.contexts)")
     cfg.pretrain = _build(PretrainConfig, cfg["pretrain"], variant=cfg["variant"], seed=cfg["seed"])
     cfg.cities = _build(InferenceTrainConfig, cfg["cities"], seed=cfg["seed"])
     cfg.few_shot = _build(FewShotConfig, cfg["cities"])
@@ -444,8 +449,6 @@ def _delta_report(before: dict, after: dict) -> dict:
 
 def cmd_ingest(cfg, args):
     ds = cfg["dataset"]
-    if not ds["path"]:
-        raise ConfigError("dataset.path is required for ingest")
     rows, malformed = ingest(ds["path"], format=ds["format"])
     catalog, sequences = build_sequences(rows, min_actions=ds["min_actions"])
     split_leave_one_out(catalog, sequences)  # validates 3+ actions per user
@@ -715,8 +718,6 @@ def _read_new_items(path: str, index_of: dict) -> list:
 
 def cmd_new_item(cfg, args):
     contexts_path = getattr(args, "contexts", None) or cfg["new_item"]["contexts"]
-    if not contexts_path:
-        raise ConfigError("new-item needs a context file (--contexts or new_item.contexts)")
     catalog, split, store, model, ckpt = _load_base(cfg, getattr(args, "checkpoint", None))
     fn, fn_meta, fn_file, source = _load_fn_for(cfg, args, model)
     new_items = _read_new_items(contexts_path, catalog.index_of)

@@ -6,21 +6,22 @@ item by inner product against the *same* table plus a per-item bias. The
 table is genuinely shared storage: mutating a row changes both what the
 encoder sees and what the scorer produces.
 
-Sequences are left-padded to ``max_len`` with the pad index. The attention
-encoder runs on exactly those ``max_len`` columns; a [mask] token is only ever
-an item of the input, never an extra column. Its callers name the (row,
-column) pairs they read and get those final states only: every block but the
-last runs at all columns, and the last computes keys and values at all
-columns but everything else only at the pairs read. Cloze training reads its
-masked slots, and the interpreter (``repair``) the [mask] of each window. To
-rank, ``ranking_states`` keeps the last ``max_len - 1`` history items, places
-a [mask] directly after them inside the window, and reads the user state at
-column ``max_len - 1`` -- the input cloze training scores whenever it masks
-the last position (the BERT4Rec layout). Both pass the state through the
-one head projection, ``head_states``. The GRU reads its final hidden state
-over the last ``max_len`` items and never sees the [mask] token; its whole
-recurrence is the one fused tape op ``tensor.gru_sequence``, so a GRU
-training step records the same few ops whatever ``max_len`` is.
+Sequences are left-padded to ``max_len`` with the pad index; a [mask] token is
+only ever an item of the input, never an extra column. The attention encoder's
+callers name the (row, column) pairs they read and get those final states
+only. Its blocks run on the live columns, skipping leading columns that are
+padding in every row and left of every read (as the GRU skips leading pad
+steps): every block but the last at all live columns, the last one keys and
+values at all of them but everything else only at the pairs read. Cloze
+training reads its masked slots, and the interpreter (``repair``) the [mask]
+of each window. To rank, ``ranking_states`` keeps the last ``max_len - 1``
+history items, places a [mask] directly after them inside the window, and
+reads the user state at column ``max_len - 1`` -- the input cloze training
+scores whenever it masks the last position (the BERT4Rec layout). Both pass
+the state through the one head projection, ``head_states``. The GRU reads its
+final hidden state over the last ``max_len`` items and never sees the [mask]
+token; its whole recurrence is the one fused tape op ``tensor.gru_sequence``,
+so a GRU training step records the same few ops whatever ``max_len`` is.
 
 Parameters live in nested dataclasses. ``named_parameters`` walks their
 fields in declaration order and is the only list of parameter names: the
@@ -319,6 +320,7 @@ def transformer_block(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     read: tuple[np.ndarray, np.ndarray] | None = None,
+    drawn: tuple[np.ndarray, int] | None = None,
 ) -> Tensor:
     """Post-norm block: attention, dropout, residual, layer norm, then the
     GELU feed-forward, dropout, residual, layer norm. Dropout is drawn only
@@ -327,21 +329,23 @@ def transformer_block(
     By default the block runs at every column of the (B, L, d) input and
     returns (B, L, d). ``read`` = (flat ``row * L + column`` indices, their
     rows) runs everything after the keys and values at those n positions
-    only and returns their (n, d) states. Dropout masks are still drawn at
-    the full (B, L, d) shape, so the rng stream does not depend on ``read``.
+    only and returns their (n, d) states. Dropout masks are drawn at the full
+    (B, L, d) shape, or at (n_rows, d) for ``drawn`` = (the computed positions'
+    indices in those rows, n_rows), so the rng stream does not depend on them.
     """
     b, l, d = h.shape
     x, flat, rows = h, None, None
     if read is not None:
         flat, rows = read
         x = T.take_rows(T.reshape(h, (b * l, d)), flat)
+    keep, n_rows = drawn if drawn is not None else (flat, b * l)
     a = _mha(block, h, additive_mask, n_heads, x, rows)
     if dropout_rate:
-        a = T.dropout(a, dropout_rate, rng, rows=flat, n_rows=b * l)
+        a = T.dropout(a, dropout_rate, rng, rows=keep, n_rows=n_rows)
     a = T.layer_norm(T.add(x, a), block.ln1_gain, block.ln1_bias)
     f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
     if dropout_rate:
-        f = T.dropout(f, dropout_rate, rng, rows=flat, n_rows=b * l)
+        f = T.dropout(f, dropout_rate, rng, rows=keep, n_rows=n_rows)
     return T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
 
 
@@ -355,24 +359,28 @@ def encode_transformer(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the block stack over the L input columns; pad columns are masked
-    out as keys. Returns the final hidden states at the (row, column) pairs,
-    (n, d): every block but the last runs at all columns, the last one only
-    at the pairs read."""
+    """Run the block stack over the live columns, from the first that holds
+    an item in any row or is read; pad columns are masked out as keys, so the
+    skipped ones change nothing. Returns the final hidden states at the (row,
+    column) pairs, (n, d): every block but the last runs at all live columns,
+    the last one only at the pairs read. Dropout is drawn over all L columns."""
     if encoder.variant != "transformer":
         raise ConfigError(f"encode_transformer got variant {encoder.variant!r}")
     b, l, d = e.shape
-    rows = np.asarray(rows, dtype=np.intp)
-    flat = rows * l + np.asarray(columns, dtype=np.intp)
-    additive = np.where(real, 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
+    rows, columns = np.asarray(rows, dtype=np.intp), np.asarray(columns, dtype=np.intp)
+    live = np.flatnonzero(real.any(axis=0))
+    start = int(min(live[0] if live.size else l - 1, columns.min(initial=l - 1)))
+    grid = np.arange(b * l).reshape(b, l)[:, start:] if start else None
+    h = T.take_rows(T.reshape(e, (b * l, d)), grid) if start else e
+    additive = np.where(real[:, start:], 0.0, NEG_ATTENTION)[:, None, None, :]  # over keys
     rate = dropout_rate if training else 0.0
-    h = e
     for block in encoder.blocks[:-1]:
-        h = transformer_block(block, h, additive, encoder.n_heads, rate, rng)
+        h = transformer_block(block, h, additive, encoder.n_heads, rate, rng, drawn=(grid, b * l))
+    flat = rows * (l - start) + columns - start
     if not encoder.blocks:
-        return T.take_rows(T.reshape(h, (b * l, d)), flat)
+        return T.take_rows(T.reshape(h, (b * (l - start), d)), flat)
     return transformer_block(encoder.blocks[-1], h, additive, encoder.n_heads, rate, rng,
-                             (flat, rows))
+                             (flat, rows), (rows * l + columns, b * l))
 
 
 def encode_gru(encoder: EncoderParams, e: Tensor, real: np.ndarray) -> Tensor:
@@ -434,7 +442,7 @@ def ranking_states(model: Model, histories) -> Tensor:
 
 def score(m: Tensor, table: EmbeddingTable) -> Tensor:
     """Relevance over all real items: r[j] = <m, e_j> + bias_j (shared table)."""
-    items = T.take_rows(table.weights, np.arange(table.n_items))
+    items = T.take_rows(table.weights, slice(table.n_items))
     return T.add(T.matmul(m, T.transpose(items, (1, 0))), table.item_bias)
 
 

@@ -61,8 +61,8 @@ class Tensor:
     @classmethod
     def _wrap(cls, values) -> "Tensor":
         """An op's freshly computed result, taken without the copy that
-        ``Tensor(values)`` makes. Reshape and transpose results are views of
-        the op's input, which no op writes to."""
+        ``Tensor(values)`` makes. Reshape, transpose and sliced ``take_rows``
+        results are views of the op's input, which no op writes to."""
         t = cls.__new__(cls)
         t.values = np.asarray(values, dtype=np.float64)
         t.grad = None
@@ -141,14 +141,14 @@ def _val(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _accum(t, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. The first gradient is taken as a C-order
-    copy: a closure may hand the same array to two operands, and a gradient
-    in another layout would reach BLAS in it and round differently."""
+def _accum(t, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A first gradient is taken as a C-order copy
+    (a closure may hand one array to two operands, and another layout would
+    round differently in BLAS) unless it is C-order and ``fresh``: new, for t."""
     if not isinstance(t, Tensor):
         return
     if t.grad is None:
-        t.grad = np.array(g, order="C")
+        t.grad = g if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous else np.array(g, order="C")
     else:
         t.grad += g
 
@@ -195,7 +195,7 @@ def sub(a, b) -> Tensor:
         if g is None:
             return
         _accum(a, _unbroadcast(g, av.shape))
-        _accum(b, _unbroadcast(-g, bv.shape))
+        _accum(b, _unbroadcast(-g, bv.shape), fresh=True)
 
     _record(_bw)
     return out
@@ -209,8 +209,8 @@ def mul(a, b) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(a, _unbroadcast(g * bv, av.shape))
-        _accum(b, _unbroadcast(g * av, bv.shape))
+        _accum(a, _unbroadcast(g * bv, av.shape), fresh=True)
+        _accum(b, _unbroadcast(g * av, bv.shape), fresh=True)
 
     _record(_bw)
     return out
@@ -229,8 +229,8 @@ def matmul(a, b) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape))
-        _accum(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
+        _accum(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape), fresh=True)
+        _accum(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape), fresh=True)
 
     _record(_bw)
     return out
@@ -284,22 +284,42 @@ def transpose(a, axes) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows along axis 0; duplicate indices accumulate gradient."""
+    """Gather rows along axis 0 (a slice gives a view); duplicate indices accumulate gradient."""
     av = _val(a)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
     out = Tensor._wrap(av[idx])
 
     def _bw():
         g = out.grad
-        if g is None:
+        if g is None or not isinstance(a, Tensor):
             return
-        if isinstance(a, Tensor):
-            buf = np.zeros_like(av)
-            np.add.at(buf, idx, g)
-            _accum(a, buf)
+        _accum(a, _scatter_rows(idx, g, av.shape), fresh=True)
 
     _record(_bw)
     return out
+
+
+def _scatter_rows(idx, g: np.ndarray, shape) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, g)`` bitwise, in a new C-order buffer:
+    each target row sums its rows of ``g`` in index order, as one ``bincount``
+    per column of a table or one add per occurrence rank, over distinct rows."""
+    buf = np.zeros(shape)
+    if isinstance(idx, slice):
+        buf[idx] += g
+        return buf
+    idx, g = idx.ravel() % shape[0], g.reshape((idx.size,) + shape[1:])
+    if len(shape) == 2:
+        for j in range(shape[1]):
+            buf[:, j] = np.bincount(idx, weights=g[:, j], minlength=shape[0])
+        return buf
+    order = np.argsort(idx, kind="stable")
+    s = idx[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    sizes = np.diff(np.r_[starts, s.size])
+    for r in range(sizes.max(initial=0)):
+        at = order[starts[sizes > r] + r]
+        buf[idx[at]] += g[at]
+    return buf
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -313,7 +333,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(a, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        _accum(a, s * (g - (g * s).sum(axis=axis, keepdims=True)), fresh=True)
 
     _record(_bw)
     return out
@@ -336,7 +356,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
             return
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, soft * g)
+        _accum(a, soft * g, fresh=True)
 
     _record(_bw)
     return out
@@ -353,7 +373,7 @@ def gelu(a) -> Tensor:
         if g is None:
             return
         pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
-        _accum(a, g * (cdf + av * pdf))
+        _accum(a, g * (cdf + av * pdf), fresh=True)
 
     _record(_bw)
     return out
@@ -479,7 +499,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
         ghat = g * gv
         n = av.shape[-1]
         dx = inv * (ghat - ghat.mean(axis=-1, keepdims=True) - xhat * (ghat * xhat).sum(axis=-1, keepdims=True) / n)
-        _accum(a, dx)
+        _accum(a, dx, fresh=True)
         red = tuple(range(av.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=red) if red else g * xhat)
         _accum(bias, g.sum(axis=red) if red else g)
@@ -513,13 +533,13 @@ def dropout(
     if rows is None:
         draw = rng.random(av.shape)
     else:
-        draw = rng.random((n_rows,) + av.shape[1:])[rows]
+        draw = rng.random((n_rows,) + av.shape[np.ndim(rows):])[rows]
     keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
     out = Tensor._wrap(av * keep)
 
     def _bw():
         if out.grad is not None:
-            _accum(a, out.grad * keep)
+            _accum(a, out.grad * keep, fresh=True)
 
     _record(_bw)
     return out

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from tailrec import artifacts
 from tailrec.artifacts import write_json, write_text
 from tailrec.model import ModelConfig, init_model, load_checkpoint, named_parameters, save_checkpoint
 from tailrec.repair import (
@@ -84,9 +85,20 @@ def test_save_load_save_is_byte_identical(tmp_path, variant, kind):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _dump_then_fail(doc, fh, **kwargs):
-    fh.write(json.dumps(doc, **kwargs)[:100])
-    raise RuntimeError("killed mid-write")
+def _fail_mid_write(monkeypatch):
+    """Files the artifact writer opens take 100 characters, then fail."""
+    def open_then_fail(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def write_then_fail(text):
+            write(text[:100])
+            raise RuntimeError("killed mid-write")
+
+        fh.write = write_then_fail
+        return fh
+
+    monkeypatch.setattr(artifacts, "open", open_then_fail, raising=False)
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -95,15 +107,30 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     _save_model(path, model)
     before = path.read_bytes()
     model.table.weights.values += 1.0
-    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    _fail_mid_write(monkeypatch)
     with pytest.raises(RuntimeError, match="mid-write"):
         _save_model(path, model)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint_gru.json"]  # no temp file left
 
 
+def test_write_json_bytes_are_json_dump_bytes(tmp_path):
+    # the one-call encoder writes what json.dump writes, byte for byte
+    rng = np.random.default_rng(0)
+    doc = {
+        "params": {"b": rng.standard_normal((3, 4)).tolist(), "a": [[-0.0, 1e-300, -1e308]]},
+        "ünïcode ключ": {"z": 5e-324, "n": [1, 2.5, None, True], "s": "é\u2028\n\"q\""},
+        "empty": [[], {}],
+    }
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    with open(tmp_path / "ref.json", "w", newline="", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    _fail_mid_write(monkeypatch)
     with pytest.raises(RuntimeError):
         write_json(tmp_path / "report.json", {"groups": {}})
     assert os.listdir(tmp_path) == []

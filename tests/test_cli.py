@@ -151,6 +151,17 @@ def test_defaults_are_the_dataclass_fields():
     assert cfg.cities == InferenceTrainConfig() and cfg.few_shot == FewShotConfig()
 
 
+@pytest.mark.parametrize("command", ["ingest", "new-item"])
+def test_missing_command_input_exits_2_before_the_output_directory(tmp_path, capsys, command):
+    # ingest without dataset.path, new-item without a context file
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("--out", out, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run("--config", tmp_path / "nope.json", "ingest") == 2
 

@@ -172,6 +172,42 @@ def test_last_block_at_read_rows_matches_full_blocks_then_gather(pairs, training
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def test_live_columns_match_the_full_width_run():
+    m = tiny("transformer", n_blocks=2, dropout=0.3, seed=3, max_len=8)
+    for _, t in named_parameters(m):  # move off the near-zero initialization
+        t.values = t.values + np.random.default_rng(5).normal(0.0, 0.3, t.values.shape)
+    pad, mask = m.table.pad_index, m.table.mask_index
+    short = pad_batch([[1, mask, 3], [4, 5, 6, mask], [mask, 2]], 8, pad)  # columns 0-3 all pad
+    wide = np.vstack([short, [[7, 1, 2, 3, 4, 5, 6, mask]]])  # a full-length row: nothing trimmed
+    rows, columns = np.array([0, 1, 1, 2]), np.array([6, 4, 7, 6])
+    # eval mode: the trimmed batch's states equal those the full-width batch computes
+    np.testing.assert_allclose(encode(m, short, (rows, columns)).values,
+                               encode(m, wide, (rows, columns)).values, rtol=1e-12, atol=1e-12)
+    # a read left of the first live column widens the run to include it
+    np.testing.assert_allclose(encode(m, short, ([0], [2])).values,
+                               encode(m, wide, ([0], [2])).values, rtol=1e-12, atol=1e-12)
+    # training mode: the same masks are drawn over all columns, so the same
+    # loss, gradients and rng state as every block at every column
+    weights = np.random.default_rng(1).standard_normal((len(rows), m.config.d))
+    params = [t for _, t in named_parameters(m)]
+    results = []
+    for run in (lambda rng: encode(m, short, (rows, columns), training=True, rng=rng),
+                lambda rng: _full_blocks_then_gather(m, short, rows, columns, True, rng)):
+        rng = np.random.default_rng(4)
+        with Tape() as tape:
+            loss = T.sum_(T.mul(run(rng), weights))
+            tape.backward(loss)
+        results.append((loss.item(), rng.bit_generator.state, [t.grad for t in params]))
+        T.reset_grads(params)
+    (got, got_rng, got_grads), (want, want_rng, want_grads) = results
+    assert got_rng == want_rng
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
 def test_gru_pad_row_content_cannot_leak():
     m = tiny("gru")
     batch = pad_batch([[1, 2]], 6, m.table.pad_index)

@@ -10,17 +10,20 @@ from tailrec.data import (
 )
 from tailrec.errors import ConfigError, TrainingError
 from tailrec.evaluate import ModelRanker, PopRanker, build_test_candidates, rank_of_truth
-from tailrec.model import named_parameters, params_fingerprint
+from tailrec.model import ModelConfig, init_model, named_parameters, params_fingerprint
+from tailrec.optim import AdamState, adam_step
 from tailrec.pretrain import (
     PretrainConfig,
     make_masked_examples,
     make_next_item_examples,
+    _masked_positions_loss,
+    _next_item_loss,
     nll_loss,
     pretrain,
     validate,
 )
 from tailrec.synthetic import synthetic_interactions
-from tailrec.tensor import Tensor
+from tailrec.tensor import Tape, Tensor
 
 PAD, MASK = 1000, 1001
 
@@ -325,3 +328,44 @@ def test_validate_ranks_from_the_evaluation_state(variant):
         "hr10": float((ranks <= 10).mean()),
         "mrr": float((1.0 / ranks).mean()),
     }
+
+
+def _tape_tensors(tape):
+    """Every Tensor a recorded closure holds: the ops' inputs and outputs."""
+    found = {}
+    for fn in tape._records:
+        for cell in fn.__closure__ or ():
+            if isinstance(cell.cell_contents, Tensor):
+                found[id(cell.cell_contents)] = cell.cell_contents
+    return list(found.values())
+
+
+@pytest.mark.parametrize("variant", ["transformer", "gru"])
+def test_no_two_tensors_share_a_gradient_buffer(variant):
+    n, ml = 30, 7
+    cfg = ModelConfig(variant=variant, n_items=n, d=8, n_blocks=2, n_heads=2, max_len=ml,
+                      dropout_rate=0.2)
+    model = init_model(cfg, np.random.default_rng(0))
+    params = [t for _, t in named_parameters(model)]
+    opt = AdamState(peak_lr=1e-3)
+    rng = np.random.default_rng(1)
+    items = rng.integers(0, n, (6, ml))
+    items[:, :2] = n  # two leading all-pad columns
+    targets = np.where((rng.random(items.shape) < 0.4) & (items < n), items, -1)
+    targets[:, -1] = items[:, -1]
+    for step in range(2):  # the second step accumulates into the optimizer's store
+        with Tape() as tape:
+            if variant == "transformer":
+                loss = _masked_positions_loss(model, np.where(targets >= 0, n + 1, items),
+                                              targets, rng)
+            else:
+                loss = _next_item_loss(model, items[:, :-1], items[:, -1], rng)
+        tape.backward(loss)
+        if step == 1:
+            grads = [t.grad for t in _tape_tensors(tape) if t.grad is not None]
+            assert len(grads) > len(params)
+            spans = sorted(np.lib.array_utils.byte_bounds(g) for g in grads)
+            for (_, end), (begin, _) in zip(spans, spans[1:]):
+                assert end <= begin  # no two gradient buffers overlap
+            assert all(p.grad.base is opt.grad for p in params)
+        adam_step(opt, params)

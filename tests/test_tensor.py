@@ -125,6 +125,35 @@ def test_take_rows_2d_index():
     check_op(lambda a: T.take_rows(a, idx), [(3, 5)])
 
 
+def _scatter_cases():
+    rng = np.random.default_rng(7)
+    pad = 300  # a (128, 20) table lookup whose pad row repeats hundreds of times
+    lookup = np.where(rng.random((128, 20)) < 0.35, pad, rng.integers(0, 302, (128, 20)))
+    return {
+        "table-lookup": ((302, 32), lookup),
+        "4d-gather": ((6, 2, 20, 16), np.array([3, 0, 3, 5, 1, 3, 0, 5, 3])),
+        "empty": ((5, 4), np.zeros(0, dtype=np.intp)),
+        "slice": ((12, 3), slice(10)),
+    }
+
+
+@pytest.mark.parametrize("case", ["table-lookup", "4d-gather", "empty", "slice"])
+def test_take_rows_backward_is_bitwise_np_add_at(case):
+    shape, idx = _scatter_cases()[case]
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.standard_normal(shape))
+    out_shape = a.values[idx].shape
+    # magnitudes over 16 decades, so any other summation order rounds differently
+    w = rng.standard_normal(out_shape) * 10.0 ** rng.uniform(-8, 8, out_shape)
+    with Tape() as tape:
+        loss = T.sum_(T.mul(T.take_rows(a, idx), w))
+    tape.backward(loss)
+    want = np.zeros(shape)
+    np.add.at(want, np.arange(shape[0])[idx], w)
+    assert a.grad.flags.c_contiguous
+    assert a.grad.tobytes() == want.tobytes()
+
+
 def test_softmax_grad():
     check_op(lambda a: T.softmax(a, axis=-1), [(3, 5)])
 
