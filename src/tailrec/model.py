@@ -360,10 +360,10 @@ def encode_transformer(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run the block stack over the live columns, from the first that holds
-    an item in any row or is read; pad columns are masked out as keys, so the
-    skipped ones change nothing. Returns the final hidden states at the (row,
-    column) pairs, (n, d): every block but the last runs at all live columns,
-    the last one only at the pairs read. Dropout is drawn over all L columns."""
+    an item in any row or is read; pad columns are masked out as keys, so
+    skipping them moves states by rounding only. Returns the final states at
+    the (row, column) pairs, (n, d): every block but the last runs at all live
+    columns, the last only at the pairs read. Dropout is drawn over all L."""
     if encoder.variant != "transformer":
         raise ConfigError(f"encode_transformer got variant {encoder.variant!r}")
     b, l, d = e.shape
