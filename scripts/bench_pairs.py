@@ -9,9 +9,13 @@ spell on a shared machine falls on both sides. The end-to-end metrics and
 their directions are read from the change's ``BENCHMARK.json``. Printed per
 metric: every pair's values and change/parent ratio, the medians and
 quartiles of each side, the median difference, and how many pairs the change
-won. ``BENCH_<workload>.json`` in the change checkout records the per-pair
-values, both checkouts' git SHAs (``git rev-parse HEAD``, plus whether the
-tree had uncommitted changes) and the environment perfbench reports.
+won, and whether a gain may be claimed: the change wins at least 9 of every
+10 pairs (ties count for neither side) and its median beats the parent's by
+more than the parent's interquartile range. ``BENCH_<workload>.json`` in the
+change checkout records the per-pair values, both checkouts' git SHAs
+(``git rev-parse HEAD``, plus whether the tree had uncommitted changes other
+than the ``BENCH_*.json`` files this script writes) and the environment
+perfbench reports.
 """
 
 import argparse
@@ -34,7 +38,8 @@ def git_state(root: str) -> dict:
     def git(*argv):
         res = subprocess.run(["git", "-C", root, *argv], capture_output=True, text=True)
         return res.stdout.strip() if res.returncode == 0 else None
-    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    status = git("status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json")
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(status)}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -101,18 +106,21 @@ def main() -> int:
         par, chg = [a for a, _ in both], [b for _, b in both]
         wins = sum((b > a) if higher else (b < a) for a, b in both)
         q1, q3 = quartiles(par)
+        gain = (statistics.median(chg) - statistics.median(par)) * (1 if higher else -1)
         s = {
             "ratios": [b / a if a else None for a, b in both],
             "parent_median": statistics.median(par), "parent_quartiles": [q1, q3],
             "change_median": statistics.median(chg), "change_quartiles": list(quartiles(chg)),
             "median_difference": statistics.median(b - a for a, b in both),
             "wins": wins, "pairs": len(both), "better": m["better"],
+            "claim_holds": 10 * wins >= 9 * len(both) and gain > q3 - q1,
         }
         summary[name] = s
         print(f"  {name:26s} parent {s['parent_median']:.4g} [{q1:.4g}, {q3:.4g}]  "
               f"change {s['change_median']:.4g} [{s['change_quartiles'][0]:.4g}, "
               f"{s['change_quartiles'][1]:.4g}]  median diff {s['median_difference']:+.4g} "
-              f"(parent IQR {q3 - q1:.4g})  wins {wins}/{len(both)}  ratios "
+              f"(parent IQR {q3 - q1:.4g})  wins {wins}/{len(both)}  claim "
+              f"{'holds' if s['claim_holds'] else 'fails'}  ratios "
               + " ".join(f"{x:.2f}" if x is not None else "-" for x in s["ratios"]))
 
     doc = {

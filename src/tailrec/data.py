@@ -302,24 +302,26 @@ def extract_context_sets(
 
     One window per occurrence; an item repeating within one sequence yields
     one window per repeat. Items never seen in training map to an empty
-    ContextSet (K = 0).
+    ContextSet (K = 0). The occurrences are found with one mask over the
+    concatenated sequences, and every window is a read-only view of that
+    one copy.
     """
     if omega1 < 0 or omega2 < 0:
         raise DataError(f"window sizes must be nonnegative, got {omega1}, {omega2}")
     wanted = set(int(i) for i in items)
     found: dict[int, list[ContextWindow]] = {i: [] for i in wanted}
-    for u, seq in enumerate(split.train):
-        for p, item in enumerate(seq):
-            item = int(item)
-            if item in wanted:
-                found[item].append(
-                    ContextWindow(
-                        left=seq[max(0, p - omega1) : p].copy(),
-                        right=seq[p + 1 : p + 1 + omega2].copy(),
-                        user_index=u,
-                        position=p,
-                    )
-                )
+    flat = np.concatenate(split.train) if split.train else np.zeros(0, dtype=np.int64)
+    flat.flags.writeable = False
+    lengths = np.array([len(seq) for seq in split.train], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    hit = np.zeros(int(flat.max(initial=-1)) + 1, dtype=bool)
+    hit[[i for i in wanted if 0 <= i < hit.size]] = True
+    at = np.flatnonzero(hit[flat])  # flat positions of the occurrences
+    user = np.searchsorted(ends, at, side="right")
+    start, end = (ends - lengths)[user], ends[user]
+    for item, g, u, s, lo, hi in zip(*(a.tolist() for a in (
+            flat[at], at, user, start, np.maximum(start, at - omega1), np.minimum(end, at + 1 + omega2)))):
+        found[item].append(ContextWindow(flat[lo:g], flat[g + 1:hi], u, g - s))
     return {i: ContextSet(item=i, windows=tuple(ws)) for i, ws in found.items()}
 
 

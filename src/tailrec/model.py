@@ -279,39 +279,6 @@ def embed_sequence(
     return e, real
 
 
-def _mha(
-    block: BlockParams,
-    h: Tensor,
-    additive_mask: np.ndarray,
-    n_heads: int,
-    queries: Tensor | None = None,
-    rows: np.ndarray | None = None,
-) -> Tensor:
-    """Multi-head self-attention over a (B, L, d) batch. Keys and values
-    always cover all L columns. Without ``rows`` every column queries and the
-    result is (B, L, d); given (n, d) ``queries`` and the batch row each one
-    belongs to, each attends over its own row's keys and the result is (n, d)."""
-    b, l, d = h.shape
-    dh = d // n_heads
-
-    def split(x, n, m):  # (n, m, d) -> (n, heads, m, dh)
-        return T.transpose(T.reshape(x, (n, m, n_heads, dh)), (0, 2, 1, 3))
-
-    queries = h if queries is None else queries
-    n, m = (b, l) if rows is None else (queries.shape[0], 1)
-    q = split(T.add(T.matmul(queries, block.wq), block.bq), n, m)
-    k = split(T.add(T.matmul(h, block.wk), block.bk), b, l)
-    v = split(T.add(T.matmul(h, block.wv), block.bv), b, l)
-    if rows is not None:
-        k, v, additive_mask = T.take_rows(k, rows), T.take_rows(v, rows), additive_mask[rows]
-    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    logits = T.add(logits, additive_mask)
-    attn = T.softmax(logits, axis=-1)
-    ctx = T.matmul(attn, v)  # (n, heads, m, dh)
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), queries.shape)
-    return T.add(T.matmul(merged, block.wo), block.bo)
-
-
 def transformer_block(
     block: BlockParams,
     h: Tensor,
@@ -322,16 +289,18 @@ def transformer_block(
     read: tuple[np.ndarray, np.ndarray] | None = None,
     drawn: tuple[np.ndarray, int] | None = None,
 ) -> Tensor:
-    """Post-norm block: attention, dropout, residual, layer norm, then the
-    GELU feed-forward, dropout, residual, layer norm. Dropout is drawn only
-    when ``dropout_rate`` is nonzero, attention output first.
+    """Post-norm block: self-attention (one ``tensor.attention`` op), dropout,
+    residual, layer norm, then the GELU feed-forward (two ``tensor.linear``),
+    dropout, residual, layer norm. Dropout is drawn only when
+    ``dropout_rate`` is nonzero, attention output first.
 
     By default the block runs at every column of the (B, L, d) input and
     returns (B, L, d). ``read`` = (flat ``row * L + column`` indices, their
     rows) runs everything after the keys and values at those n positions
-    only and returns their (n, d) states. Dropout masks are drawn at the full
-    (B, L, d) shape, or at (n_rows, d) for ``drawn`` = (the computed positions'
-    indices in those rows, n_rows), so the rng stream does not depend on them.
+    only, each over its own row's keys, and returns their (n, d) states.
+    Dropout masks are drawn at the full (B, L, d) shape, or at (n_rows, d)
+    for ``drawn`` = (the computed positions' indices in those rows, n_rows),
+    so the rng stream does not depend on them.
     """
     b, l, d = h.shape
     x, flat, rows = h, None, None
@@ -339,11 +308,12 @@ def transformer_block(
         flat, rows = read
         x = T.take_rows(T.reshape(h, (b * l, d)), flat)
     keep, n_rows = drawn if drawn is not None else (flat, b * l)
-    a = _mha(block, h, additive_mask, n_heads, x, rows)
+    a = T.attention(x, h, block.wq, block.bq, block.wk, block.bk, block.wv, block.bv,
+                    block.wo, block.bo, additive_mask, n_heads, rows)
     if dropout_rate:
         a = T.dropout(a, dropout_rate, rng, rows=keep, n_rows=n_rows)
     a = T.layer_norm(T.add(x, a), block.ln1_gain, block.ln1_bias)
-    f = T.add(T.matmul(T.gelu(T.add(T.matmul(a, block.w1), block.b1)), block.w2), block.b2)
+    f = T.linear(T.gelu(T.linear(a, block.w1, block.b1)), block.w2, block.b2)
     if dropout_rate:
         f = T.dropout(f, dropout_rate, rng, rows=keep, n_rows=n_rows)
     return T.layer_norm(T.add(a, f), block.ln2_gain, block.ln2_bias)
@@ -419,7 +389,7 @@ def encode(
 def head_states(encoder: EncoderParams, states: Tensor) -> Tensor:
     """The user-state projection gelu(state @ head_w + head_b) that cloze
     training scores and ranking ranks with."""
-    return T.gelu(T.add(T.matmul(states, encoder.head_w), encoder.head_b))
+    return T.gelu(T.linear(states, encoder.head_w, encoder.head_b))
 
 
 def ranking_states(model: Model, histories) -> Tensor:

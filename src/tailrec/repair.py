@@ -317,7 +317,7 @@ def aggregate(
     agg = fn.agg
     for block in agg.blocks:
         h = transformer_block(block, h, additive, agg.n_heads, rate, rng)
-    out = T.add(T.matmul(T.mean_(h, axis=1), agg.out_w), agg.out_b)
+    out = T.linear(T.mean_(h, axis=1), agg.out_w, agg.out_b)
     return T.take_rows(out, [0]) if lone else out
 
 

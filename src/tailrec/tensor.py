@@ -11,10 +11,15 @@ Plain numbers and ndarrays are accepted wherever a tensor is expected; they
 act as constants and never receive gradients. ``Tensor(x)`` copies ``x``; an
 op wraps the array it just computed as it is (``Tensor._wrap``).
 
-Most ops are single numpy expressions. ``gru_sequence`` is fused: it runs a
-whole GRU recurrence in one call and records one closure that
-backpropagates through time by hand, instead of about 26 records per step.
-Its forward values are bitwise those of the composed single-step ops.
+Most ops are single numpy expressions. Three are fused, each recording one
+closure where the composed ops would record many: ``gru_sequence`` runs a
+whole GRU recurrence and backpropagates through time by hand (instead of
+about 26 records per step), ``attention`` is a whole multi-head attention
+layer (instead of 22) and ``linear`` an affine layer (instead of 2). Their
+values are bitwise those of the composed ops; ``attention`` and ``linear``
+replay the composed backward in its order and memory layouts, so their
+gradients are bitwise equal too. The broadcast, layer-norm and softmax sums
+call ``np.add.reduce``, which ``ndarray.sum``, ``mean`` and ``var`` wrap.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
     "sum_",
     "mean_",
     "reshape",
     "transpose",
     "take_rows",
     "softmax",
+    "attention",
     "logsumexp",
     "gelu",
     "tanh_",
@@ -159,10 +166,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g
 
 
@@ -236,9 +243,32 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def _affine_bw(g: np.ndarray, av: np.ndarray, wv: np.ndarray, w, b) -> np.ndarray:
+    """The backward of ``add(matmul(a, w), b)`` from the sum's gradient ``g``,
+    as those two closures compute it: accumulates into ``w`` and ``b`` and
+    returns the new gradient of ``a``."""
+    _accum(b, _unbroadcast(g, _val(b).shape))
+    g = np.ascontiguousarray(g)  # add hands matmul a C-order gradient
+    _accum(w, _unbroadcast(av.swapaxes(-1, -2) @ g, wv.shape), fresh=True)
+    return _unbroadcast(g @ wv.swapaxes(-1, -2), av.shape)
+
+
+def linear(a, w, b) -> Tensor:
+    """Affine map ``a @ w + b`` as one record, bitwise ``add(matmul(a, w), b)``."""
+    av, wv = _val(a), _val(w)
+    out = Tensor._wrap(av @ wv + _val(b))
+
+    def _bw():
+        if out.grad is not None:
+            _accum(a, _affine_bw(out.grad, av, wv, w, b), fresh=True)
+
+    _record(_bw)
+    return out
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     av = _val(a)
-    out = Tensor._wrap(av.sum(axis=axis, keepdims=keepdims))
+    out = Tensor._wrap(np.add.reduce(av, axis=axis, keepdims=keepdims))
 
     def _bw():
         g = out.grad
@@ -322,18 +352,74 @@ def _scatter_rows(idx, g: np.ndarray, shape) -> np.ndarray:
     return buf
 
 
+def _softmax_values(av: np.ndarray, axis: int) -> np.ndarray:
+    """Shifted, normalised exponentials; shared by ``softmax`` and
+    ``attention`` so their values agree bit for bit."""
+    e = np.exp(av - np.maximum.reduce(av, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
+def _softmax_bw(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))
+
+
 def softmax(a, axis: int = -1) -> Tensor:
-    av = _val(a)
-    shifted = av - av.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax_values(_val(a), axis)
     out = Tensor._wrap(s)
 
     def _bw():
-        g = out.grad
-        if g is None:
+        if out.grad is not None:
+            _accum(a, _softmax_bw(s, out.grad, axis), fresh=True)
+
+    _record(_bw)
+    return out
+
+
+def attention(x, h, wq, bq, wk, bk, wv, bv, wo, bo, additive_mask, n_heads: int, rows=None) -> Tensor:
+    """Multi-head attention of the queries ``x`` over the keys and values of
+    the (B, L, d) batch ``h``, with ``additive_mask`` added to the logits.
+
+    Without ``rows``, x is (B, L, d) (usually ``h`` itself) and row b's
+    queries attend over row b. Given ``rows``, x is (n, d) and query i
+    attends over batch row ``rows[i]``. The result has x's shape. The values
+    and every gradient are bitwise those of the composed ops: projections by
+    ``linear``, heads split by reshape and transpose, K, V and the mask
+    gathered at ``rows``, logits ``q k^T / sqrt(dh) + mask``, softmax, the
+    context product, heads merged, the output ``linear``. The one closure
+    replays their backward in the same order and memory layouts.
+    """
+    xv, hv = _val(x), _val(h)
+    b, l, d = hv.shape
+    dh = d // n_heads
+    n, m = (b, l) if rows is None else (xv.shape[0], 1)
+    wqv, wkv, wvv, wov = _val(wq), _val(wk), _val(wv), _val(wo)
+    heads = lambda a, n, m: a.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3)
+    q = heads(xv @ wqv + _val(bq), n, m)
+    k = heads(hv @ wkv + _val(bk), b, l)
+    v = heads(hv @ wvv + _val(bv), b, l)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        k, v, additive_mask = k[rows], v[rows], additive_mask[rows]
+    scale = 1.0 / np.sqrt(dh)
+    attn = _softmax_values((q @ k.transpose(0, 1, 3, 2)) * scale + additive_mask, -1)
+    merged = (attn @ v).transpose(0, 2, 1, 3).reshape(xv.shape)
+    out = Tensor._wrap(merged @ wov + _val(bo))
+
+    def _bw():
+        if out.grad is None:
             return
-        _accum(a, s * (g - (g * s).sum(axis=axis, keepdims=True)), fresh=True)
+        gm = _affine_bw(out.grad, merged, wov, wo, bo)
+        gctx = np.array(gm.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3), order="C")
+        gv = attn.swapaxes(-1, -2) @ gctx
+        gs = _softmax_bw(attn, gctx @ v.swapaxes(-1, -2), -1) * scale
+        gq = gs @ k
+        gk = np.array((q.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2), order="C")
+        if rows is not None:
+            gv, gk = (_scatter_rows(rows, g, (b, n_heads, l, dh)) for g in (gv, gk))
+        for g, src, sv, w, wval, bias in ((gv, h, hv, wv, wvv, bv), (gk, h, hv, wk, wkv, bk),
+                                          (gq, x, xv, wq, wqv, bq)):
+            g = np.array(g.transpose(0, 2, 1, 3), order="C").reshape(sv.shape)
+            _accum(src, _affine_bw(g, sv, wval, w, bias), fresh=True)
 
     _record(_bw)
     return out
@@ -343,7 +429,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     av = _val(a)
     m = av.max(axis=axis, keepdims=True)
     e = np.exp(av - m)
-    tot = e.sum(axis=axis, keepdims=True)
+    tot = np.add.reduce(e, axis=axis, keepdims=True)
     res = np.log(tot) + m
     if not keepdims:
         res = np.squeeze(res, axis=axis)
@@ -486,10 +572,10 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     av = _val(a)
     gv, bv = _val(gain), _val(bias)
-    mu = av.mean(axis=-1, keepdims=True)
-    var = av.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (av - mu) * inv
+    n = av.shape[-1]
+    centered = av - np.add.reduce(av, axis=-1, keepdims=True) / n  # what mean and var compute
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + eps)
+    xhat = centered * inv
     out = Tensor._wrap(xhat * gv + bv)
 
     def _bw():
@@ -497,12 +583,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
         if g is None:
             return
         ghat = g * gv
-        n = av.shape[-1]
-        dx = inv * (ghat - ghat.mean(axis=-1, keepdims=True) - xhat * (ghat * xhat).sum(axis=-1, keepdims=True) / n)
+        mean = np.add.reduce(ghat, axis=-1, keepdims=True) / n
+        dx = inv * (ghat - mean - xhat * np.add.reduce(ghat * xhat, axis=-1, keepdims=True) / n)
         _accum(a, dx, fresh=True)
         red = tuple(range(av.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=red) if red else g * xhat)
-        _accum(bias, g.sum(axis=red) if red else g)
+        _accum(gain, np.add.reduce(g * xhat, axis=red) if red else g * xhat)
+        _accum(bias, np.add.reduce(g, axis=red) if red else g)
 
     _record(_bw)
     return out

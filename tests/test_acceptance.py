@@ -141,11 +141,15 @@ def test_gradient_suite_every_layer_matches_finite_differences():
     w_attn = np.linspace(0.2, 1.1, 4 * 8).reshape(1, 4, 8)
 
     def fwd_mha():
-        return T.sum_(T.mul(M._mha(blk, h_in, zeros_mask, 2), w_attn))
+        out = T.attention(h_in, h_in, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv,
+                          blk.wo, blk.bo, zeros_mask, 2)
+        return T.sum_(T.mul(out, w_attn))
 
+    # bk is left out: softmax is shift-invariant along the keys, and bk adds
+    # the same q . bk to every key's logit, so its true gradient is 0
     _check_layer("multi-head-attention", [
         ("wq", blk.wq), ("wk", blk.wk), ("wv", blk.wv), ("wo", blk.wo),
-        ("bq", blk.bq), ("input", h_in),
+        ("bq", blk.bq), ("bv", blk.bv), ("bo", blk.bo), ("input", h_in),
     ], fwd_mha, failures)
 
     h_two = T.Tensor(rng.standard_normal((2, 4, 8)))  # unit scale: wq, wk grads above FD noise
@@ -165,8 +169,8 @@ def test_gradient_suite_every_layer_matches_finite_differences():
     ], fwd_last_block, failures)
 
     def fwd_pwff():
-        inner = T.gelu(T.add(T.matmul(h_in, blk.w1), blk.b1))
-        return T.sum_(T.mul(T.add(T.matmul(inner, blk.w2), blk.b2), w_attn))
+        inner = T.gelu(T.linear(h_in, blk.w1, blk.b1))
+        return T.sum_(T.mul(T.linear(inner, blk.w2, blk.b2), w_attn))
 
     _check_layer("position-wise-ff", [
         ("w1", blk.w1), ("b1", blk.b1), ("w2", blk.w2), ("input", h_in),

@@ -283,6 +283,40 @@ def test_zero_occurrences_empty_set():
     assert extract_context_sets(split, [42], 2, 2)[42].k == 0
 
 
+def context_sets_reference(split, items, omega1, omega2):
+    """The per-position walk with two copies per window, kept as the
+    reference for ``extract_context_sets``."""
+    wanted = set(int(i) for i in items)
+    found = {i: [] for i in wanted}
+    for u, seq in enumerate(split.train):
+        for p, item in enumerate(seq):
+            if int(item) in wanted:
+                found[int(item)].append((seq[max(0, p - omega1):p].copy(),
+                                         seq[p + 1:p + 1 + omega2].copy(), u, p))
+    return found
+
+
+@pytest.mark.parametrize("omega1,omega2", [(0, 0), (0, 2), (2, 0), (1, 3), (5, 5)])
+def test_context_windows_equal_the_per_position_walk(omega1, omega2):
+    # repeats within and across users, wanted items at both sequence edges,
+    # an empty and a one-item sequence, a wanted item that never occurs,
+    # and a negative and an out-of-range id
+    split = seq_split([4, 1, 4, 2, 4], [3, 4], [], [4], [5, 6, 7, 3, 3], [1, 2, 5])
+    items = [4, 3, 5, 9, -1, 100]
+    got = extract_context_sets(split, items, omega1, omega2)
+    ref = context_sets_reference(split, items, omega1, omega2)
+    assert sorted(got) == sorted(ref)
+    for item, windows in ref.items():
+        assert got[item].item == item and got[item].k == len(windows)
+        for w, (left, right, u, p) in zip(got[item].windows, windows):
+            assert (w.user_index, w.position) == (u, p)
+            assert type(w.user_index) is int and type(w.position) is int
+            for a, b in ((w.left, left), (w.right, right)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+    assert extract_context_sets(seq_split(), [4], 1, 1)[4].k == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=30),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailrec import tensor as T
+from tailrec.optim import AdamState, adam_step
 from tailrec.tensor import Tape, Tensor
 
 
@@ -278,6 +279,138 @@ def test_gru_sequence_keeps_no_steps_without_a_tape():
     # taped, h, z, r and c are kept for every step
     assert peaks[0] < 1.5 * x.nbytes
     assert peaks[1] > 4 * x.nbytes
+
+
+# ------------------------------------------------- fused attention and affine layers
+
+
+def attention_reference(x, h, wq, bq, wk, bk, wv, bv, wo, bo, additive_mask, n_heads, rows=None):
+    """Multi-head attention as separate tape ops (22 records, 24 with
+    ``rows``), in the order ``T.attention`` promises to reproduce bit for bit."""
+    b, l, d = h.shape
+    dh = d // n_heads
+
+    def split(t, n, m):  # (n, m, d) -> (n, heads, m, dh)
+        return T.transpose(T.reshape(t, (n, m, n_heads, dh)), (0, 2, 1, 3))
+
+    n, m = (b, l) if rows is None else (x.shape[0], 1)
+    q = split(T.add(T.matmul(x, wq), bq), n, m)
+    k = split(T.add(T.matmul(h, wk), bk), b, l)
+    v = split(T.add(T.matmul(h, wv), bv), b, l)
+    if rows is not None:
+        k, v, additive_mask = T.take_rows(k, rows), T.take_rows(v, rows), additive_mask[rows]
+    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = T.softmax(T.add(logits, additive_mask), axis=-1)
+    merged = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), x.shape)
+    return T.add(T.matmul(merged, wo), bo)
+
+
+ATTENTION_PARAMS = lambda d: [(d, d), (d,)] * 4  # wq, bq, wk, bk, wv, bv, wo, bo
+NEG = -1e9  # the pad-key logit the encoders add
+# (batch rows, columns, heads, read rows or None, how h is built)
+ATTENTION_CASES = {
+    "every-column-1-head": (3, 5, 1, None, "batch"),
+    "every-column-4-heads": (3, 5, 4, None, "batch"),
+    # a repeated read row; column 0 of row 1 is a pad key
+    "read-rows-1-head": (3, 5, 1, np.array([0, 1, 1, 2]), "batch"),
+    "read-rows-4-heads": (3, 5, 4, np.array([0, 1, 1, 2]), "batch"),
+    "aggregator-stack": (3, 4, 4, None, "stack"),
+    "aggregator-lone-set-twice": (1, 4, 4, None, "lone"),
+    "aggregator-lone-window-twice": (1, 1, 4, None, "lone"),
+}
+
+
+def _attention_run(op, case, adam: bool):
+    """Two backward passes through ``op``; the second starts from the Adam
+    store's zeroed gradient views when ``adam``, from None otherwise.
+    -> [(output, every gradient, records)] per pass."""
+    b, l, n_heads, rows, kind = case
+    d = 8
+    rng = np.random.default_rng(7)
+    base = Tensor(rng.standard_normal((b, l, d)))
+    params = [Tensor(rng.standard_normal(s) * 0.4) for s in ATTENTION_PARAMS(d)]
+    if kind == "batch":
+        mask = np.where(np.arange(b * l).reshape(b, l) == l, NEG, 0.0)[:, None, None, :]
+    else:  # the aggregator's
+        mask = np.zeros((1, 1, 1, l))
+    w = None
+    runs = []
+    for _ in range(2):
+        with Tape() as tape:
+            h = T.take_rows(base, [0, 0]) if kind == "lone" else T.mul(base, 1.0)
+            x = h
+            if rows is not None:
+                x = T.take_rows(T.reshape(h, (b * l, d)), rows * l + np.array([4, 0, 3, 4]))
+            out = op(x, h, *params, mask, n_heads, rows)
+            if w is None:
+                w = rng.standard_normal(out.shape)
+            loss = T.sum_(T.mul(T.add(out, x), w))  # x's gradient exists before attention's
+        tape.backward(loss)
+        runs.append((out.values, [p.grad.copy() for p in params + [base]], len(tape)))
+        if adam:
+            adam_step(AdamState(peak_lr=0.0), params + [base])
+        else:
+            T.reset_grads(params + [base])
+    return runs
+
+
+@pytest.mark.parametrize("adam", [False, True], ids=["grads-none", "grads-adam-views"])
+@pytest.mark.parametrize("case", list(ATTENTION_CASES), ids=list(ATTENTION_CASES))
+def test_attention_is_bitwise_the_composed_ops(case, adam):
+    ref = _attention_run(attention_reference, ATTENTION_CASES[case], adam)
+    got = _attention_run(T.attention, ATTENTION_CASES[case], adam)
+    for (rv, rg, rn), (gv, gg, gn) in zip(ref, got):
+        assert np.array_equal(gv, rv)
+        for k, (a, b) in enumerate(zip(gg, rg)):
+            assert np.array_equal(a, b), f"gradient {k}"
+        assert rn - gn == 21 + 2 * (ATTENTION_CASES[case][3] is not None)
+
+
+def test_attention_grad():
+    mask = np.where([[True] * 4, [False, True, True, True]], 0.0, NEG)[:, None, None, :]
+    check_op(lambda h, *p: T.attention(h, h, *p, mask, 2), [(2, 4, 4)] + ATTENTION_PARAMS(4),
+             rtol=1e-4, atol=1e-6)
+    rows = np.array([1, 0, 1])
+    check_op(lambda x, h, *p: T.attention(x, h, *p, mask, 2, rows),
+             [(3, 4), (2, 4, 4)] + ATTENTION_PARAMS(4), rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)], ids=["2d", "3d"])
+def test_linear_is_bitwise_add_of_matmul(shape):
+    rng = np.random.default_rng(8)
+    arrays = [rng.standard_normal(s) for s in (shape, (4, 3), (3,))]
+    w = rng.standard_normal(shape[:-1] + (3,))
+    results = []
+    for build in (lambda a, wt, b: T.add(T.matmul(a, wt), b), T.linear):
+        tensors = [Tensor(a) for a in arrays]
+        with Tape() as tape:
+            out = build(*tensors)
+            loss = T.sum_(T.mul(T.gelu(out), w))
+        tape.backward(loss)
+        results.append((out.values, [t.grad for t in tensors], len(tape)))
+    (ref, ref_grads, ref_n), (got, got_grads, got_n) = results
+    assert np.array_equal(got, ref) and got_n == ref_n - 1
+    for k, (g, r) in enumerate(zip(got_grads, ref_grads)):
+        assert np.array_equal(g, r), f"input {k}"
+
+
+def test_linear_grad():
+    check_op(T.linear, [(2, 3, 4), (4, 5), (5,)])
+
+
+def test_aggregator_training_step_records():
+    from tailrec.model import ModelConfig, init_model
+    from tailrec.repair import FewShotConfig, InferenceTrainConfig, aggregate, init_inference_function
+
+    rng = np.random.default_rng(9)
+    model = init_model(ModelConfig("gru", n_items=6, d=8), rng)
+    fn = init_inference_function(model, FewShotConfig(), InferenceTrainConfig(n_agg_blocks=2), rng)
+    reps = Tensor(rng.standard_normal((5, 8)))
+    with Tape() as tape:  # one train-cities step on a frozen interpreter
+        diff = T.sub(aggregate(fn, reps, training=True, rng=rng, dropout_rate=0.1),
+                     rng.standard_normal((1, 8)))
+        loss = T.sum_(T.mul(diff, diff))
+    assert len(tape) <= 27
 
 
 def test_layer_norm_grad():
