@@ -8,10 +8,10 @@ subprocess, the two in alternating order from pair to pair so that a slow
 spell on a shared machine falls on both sides. The end-to-end metrics and
 their directions are read from the change's ``BENCHMARK.json``. Printed per
 metric: every pair's values and change/parent ratio, the medians and
-quartiles of each side, the median difference, and how many pairs the change
-won, and whether a gain may be claimed: the change wins at least 9 of every
-10 pairs (ties count for neither side) and its median beats the parent's by
-more than the parent's interquartile range. ``BENCH_<workload>.json`` in the
+quartiles of each side, the median of the per-pair differences, how many
+pairs the change won, and whether a gain may be claimed: the change wins at
+least 9 of every 10 pairs (ties count for neither side) and its median beats
+the parent's by more than the parent's interquartile range. ``BENCH_<workload>.json`` in the
 change checkout records the per-pair values, both checkouts' git SHAs
 (``git rev-parse HEAD``, plus whether the tree had uncommitted changes other
 than the ``BENCH_*.json`` files this script writes) and the environment
@@ -118,7 +118,7 @@ def main() -> int:
         summary[name] = s
         print(f"  {name:26s} parent {s['parent_median']:.4g} [{q1:.4g}, {q3:.4g}]  "
               f"change {s['change_median']:.4g} [{s['change_quartiles'][0]:.4g}, "
-              f"{s['change_quartiles'][1]:.4g}]  median diff {s['median_difference']:+.4g} "
+              f"{s['change_quartiles'][1]:.4g}]  median pair diff {s['median_difference']:+.4g} "
               f"(parent IQR {q3 - q1:.4g})  wins {wins}/{len(both)}  claim "
               f"{'holds' if s['claim_holds'] else 'fails'}  ratios "
               + " ".join(f"{x:.2f}" if x is not None else "-" for x in s["ratios"]))

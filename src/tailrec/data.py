@@ -318,10 +318,10 @@ def extract_context_sets(
     hit[[i for i in wanted if 0 <= i < hit.size]] = True
     at = np.flatnonzero(hit[flat])  # flat positions of the occurrences
     user = np.searchsorted(ends, at, side="right")
-    start, end = (ends - lengths)[user], ends[user]
-    for item, g, u, s, lo, hi in zip(*(a.tolist() for a in (
-            flat[at], at, user, start, np.maximum(start, at - omega1), np.minimum(end, at + 1 + omega2)))):
-        found[item].append(ContextWindow(flat[lo:g], flat[g + 1:hi], u, g - s))
+    start = (ends - lengths)[user]
+    lo, hi = np.maximum(start, at - omega1), np.minimum(ends[user], at + 1 + omega2)
+    for item, p, u, s, a, z in zip(*(v.tolist() for v in (flat[at], at, user, start, lo, hi))):
+        found[item].append(ContextWindow(flat[a:p], flat[p + 1:z], u, p - s))
     return {i: ContextSet(item=i, windows=tuple(ws)) for i, ws in found.items()}
 
 
